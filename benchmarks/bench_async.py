@@ -1,6 +1,6 @@
 """Benchmark: the asyncio frontend's two wins over the threaded server.
 
-The async service tier (:mod:`repro.server.aio`) justifies itself on two
+The asyncio transport (:mod:`repro.server.aio`) justifies itself on two
 numbers, both asserted here so the claims stay CI-checkable:
 
 1. **Server-side walks collapse round trips.**  A client-driven walk pays
@@ -29,12 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import (
-    AsyncHTTPGraphBackend,
-    CSRBackend,
-    HTTPGraphBackend,
-    build_api,
-)
+from repro.api import CSRBackend, HTTPGraphBackend, build_api
 from repro.server import serve_backend, serve_backend_async
 from repro.walks import make_walker
 
@@ -93,7 +88,7 @@ def async_server(graph_backend):
 # ----------------------------------------------------------------------
 def _client_driven_walk(url):
     """Drive the kernel from the client: one GET /node per fresh node."""
-    with AsyncHTTPGraphBackend(url, timeout=30.0) as client:
+    with HTTPGraphBackend(url, timeout=30.0) as client:
         api = build_api(client, budget=WALK_BUDGET)
         walker = make_walker(WALK_KERNEL, api=api, seed=WALK_SEED)
         return walker.run(0).path
@@ -101,7 +96,7 @@ def _client_driven_walk(url):
 
 def _server_side_walk(url):
     """One POST /walk: the kernel runs next to the data."""
-    with AsyncHTTPGraphBackend(url, timeout=30.0) as client:
+    with HTTPGraphBackend(url, timeout=30.0) as client:
         return client.remote_walk(
             WALK_KERNEL, 0, seed=WALK_SEED, budget=WALK_BUDGET
         )["path"]

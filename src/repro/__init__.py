@@ -56,13 +56,11 @@ remains available as a thin shim over the same stack::
 """
 
 from .api import (
-    AsyncHTTPGraphBackend,
     CSRBackend,
     GraphAPI,
     GraphBackend,
     HTTPGraphBackend,
     InMemoryBackend,
-    InstrumentedAPI,
     NodeView,
     QueryBudget,
     SamplingSession,
@@ -191,11 +189,9 @@ __all__ = [
     "GraphHTTPServer",
     "GroupByNeighborsRandomWalk",
     "AsyncGraphServer",
-    "AsyncHTTPGraphBackend",
     "HTTPGraphBackend",
     "HashRing",
     "InMemoryBackend",
-    "InstrumentedAPI",
     "MHRW",
     "MetricsRegistry",
     "MetropolisHastingsRandomWalk",

@@ -358,7 +358,7 @@ def _run_serve(args: argparse.Namespace) -> None:
     if not args.async_server:
         if args.tenants is not None:
             raise ValueError("--tenants requires --async (the threaded "
-                             "frontend has no tenant policy layer)")
+                             "frontend serves one open tenant)")
         if args.access_log is not None:
             raise ValueError("--access-log requires --async")
     if args.source is not None:
@@ -375,19 +375,17 @@ def _run_serve(args: argparse.Namespace) -> None:
             backend, host=args.host, port=args.port,
             tenants=args.tenants, access_log=args.access_log,
         ).start()
-        endpoints = ("endpoints: GET /info  GET /node/<id>  POST /nodes  "
-                     "GET /meta/<id>  GET /node-ids  POST /walk  GET /stats")
     else:
         server = serve_backend(backend, host=args.host, port=args.port)
-        endpoints = ("endpoints: GET /info  GET /node/<id>  POST /nodes  "
-                     "GET /meta/<id>  GET /node-ids")
     # Handlers go in before the readiness banner: a supervisor (or CI) may
     # send SIGTERM the moment the banner appears.
     with _graceful_signals():
         try:
             print(f"Serving {backend.name} ({len(backend)} nodes) at {server.url}",
                   flush=True)
-            print(endpoints, flush=True)
+            print("endpoints: GET /info  GET /node/<id>  POST /nodes  "
+                  "GET /meta/<id>  GET /node-ids  POST /walk  GET /stats  "
+                  "GET /metrics", flush=True)
             if args.async_server and args.tenants is not None:
                 print(f"tenants: {len(server.tenants)} "
                       f"(requests need an X-Api-Key header)", flush=True)

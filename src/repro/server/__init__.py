@@ -1,18 +1,20 @@
 """HTTP server tier: serve any :class:`GraphBackend` as a JSON graph service.
 
-The client/server split of the access layer, with two frontends over the same
-``repro-graph-http`` wire:
+Two transports serve the same ``repro-graph-http`` wire through one request
+router (:mod:`repro.server.router`: endpoints, tenants, typed errors, stats):
 
 * :func:`serve_backend` — the thread-per-connection stdlib ``http.server``
-  frontend (:class:`GraphHTTPServer`);
-* :func:`serve_backend_async` — the asyncio multi-tenant frontend
-  (:class:`AsyncGraphServer`): one event loop for every connection, per-tenant
-  API-key policy (:mod:`repro.server.tenants`), server-side ``POST /walk``
-  and a ``GET /stats`` usage surface.
+  frontend (:class:`GraphHTTPServer`), open to every client as the
+  ``public`` tenant;
+* :func:`serve_backend_async` — the asyncio frontend
+  (:class:`AsyncGraphServer`): one event loop for every connection, plus
+  per-tenant API-key policy (:mod:`repro.server.tenants`) and a JSONL access
+  log.
 
-:class:`~repro.api.remote.HTTPGraphBackend` and
-:class:`~repro.api.remote_async.AsyncHTTPGraphBackend` (the client halves, in
-:mod:`repro.api`) drive either frontend through the unchanged two-method
+Both serve ``/info``, ``/node/<id>``, ``POST /nodes``, ``/meta/<id>``,
+``/node-ids``, server-side ``POST /walk``, ``/stats`` and ``/metrics``.
+:class:`~repro.api.remote.HTTPGraphBackend` (the client half, in
+:mod:`repro.api`) drives either frontend through the unchanged two-method
 backend protocol.  ``python -m repro.cli serve --source PATH --port N`` is
 the command-line entry point (``--async --tenants tenants.json`` for the
 multi-tenant frontend).

@@ -6,9 +6,9 @@ crawler's own process.  Here the same policy objects
 (:class:`~repro.api.budget.QueryBudget`,
 :class:`~repro.api.ratelimit.RateLimitPolicy`) are promoted to the serving
 tier: a ``tenants.json`` file maps API keys to named tenants, each carrying
-its own budget, rate limit and usage counters, and the asyncio frontend
-(:mod:`repro.server.aio`) enforces them per request — a 429 with a typed JSON
-body instead of an in-process exception.
+its own budget, rate limit and usage counters, and the request router
+(:mod:`repro.server.router`) enforces them per request — a 429 with a typed
+JSON body instead of an in-process exception.
 
 The tenants file is versioned like every other format in the tree::
 
@@ -85,8 +85,9 @@ class WallClock:
 class TenantPolicy:
     """One tenant's server-side policy state and usage counters.
 
-    Mutated only from the server's event loop (the asyncio frontend is
-    single-threaded), read from any thread via :meth:`stats_payload`.
+    Not thread-safe on its own: the serving
+    :class:`~repro.server.router.GraphRouter` makes every call under its one
+    lock, from any handler thread or executor.
     """
 
     def __init__(
@@ -110,7 +111,7 @@ class TenantPolicy:
         self._seen: set = set()
 
     # ------------------------------------------------------------------
-    # Enforcement (called per request by the asyncio frontend)
+    # Enforcement (called per request by the router)
     # ------------------------------------------------------------------
     def charge_request(self, endpoint: str) -> None:
         self.endpoint_counts[endpoint] += 1
@@ -217,11 +218,11 @@ class TenantPolicy:
 class TenantRegistry:
     """API key -> :class:`TenantPolicy` resolution for one server.
 
-    An *open* registry (no tenants configured) resolves every request —
-    keyed or not — to one shared unlimited ``public`` tenant, so a plain
-    ``serve --async`` behaves exactly like the threaded frontend.  A
-    registry built from a tenants file *requires* a known key and answers
-    anything else with :class:`~repro.exceptions.TenantAuthError`.
+    An *open* registry (no tenants configured: the threaded frontend, or a
+    plain ``serve --async``) resolves every request — keyed or not — to one
+    shared unlimited ``public`` tenant.  A registry built from a tenants file
+    *requires* a known key and answers anything else with
+    :class:`~repro.exceptions.TenantAuthError`.
     """
 
     def __init__(self, policies: Optional[Dict[str, TenantPolicy]] = None) -> None:

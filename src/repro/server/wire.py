@@ -1,20 +1,26 @@
 """Shared pieces of the lean HTTP/1.1 wire, used by both server frontends.
 
 The thread-per-connection :mod:`repro.server.app` and the asyncio
-:mod:`repro.server.aio` frontends speak the exact same ``repro-graph-http``
-wire, so the parsing rules that carry correctness weight live here once:
+:mod:`repro.server.aio` frontends frame requests by the same rules, so the
+rules that carry correctness weight live here once:
 
 * :class:`LeanHeaders` — the case-insensitive raw-bytes header map the fast
   request path builds instead of an ``email.message.Message``;
-* :func:`store_header_line` — one header line into that map, rejecting
-  malformed lines *and conflicting duplicates* (two different
-  ``Content-Length`` values is the classic request-smuggling shape: whichever
-  copy a proxy honours, this service must refuse rather than pick one);
+* :func:`fold_header_line` — one line of a header block into that map,
+  enforcing the stdlib sanity caps (:data:`MAX_LINE` bytes per line,
+  :data:`MAX_HEADERS` header lines) and rejecting malformed lines *and
+  conflicting duplicates* (two different ``Content-Length`` values is the
+  classic request-smuggling shape: whichever copy a proxy honours, this
+  service must refuse rather than pick one);
+* :func:`body_length` — the request body's framing, refusing any
+  ``Transfer-Encoding`` (the other smuggling shape) and any ``Content-Length``
+  that is not a plain non-negative integer;
 * :func:`reachable_url` — a client-connectable URL for a bound address
   (wildcard binds resolved to loopback, IPv6 hosts bracketed).
 
-Both frontends also share the stdlib sanity caps: :data:`MAX_LINE` bytes per
-line and :data:`MAX_HEADERS` header lines per request.
+Every refusal is a :class:`HeaderLineError` carrying the HTTP status; the
+frontends answer it with the router's typed JSON body and
+``Connection: close``.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ class LeanHeaders:
 
 
 class HeaderLineError(Exception):
-    """A header line the server must refuse, with the HTTP status to answer."""
+    """A request the server must refuse while framing it, with the HTTP status."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -55,17 +61,26 @@ class HeaderLineError(Exception):
         self.message = message
 
 
-def store_header_line(raw: Dict[bytes, bytes], line: bytes) -> None:
-    """Parse one raw header ``line`` into the lowercased ``raw`` map.
+def fold_header_line(raw: Dict[bytes, bytes], line: bytes) -> bool:
+    """Fold one raw line of a request's header block into the lowercased ``raw``.
 
-    Raises :class:`HeaderLineError` (status 400) on a line without a colon
-    and on *conflicting duplicates* — the same header name arriving twice
-    with different values.  Two ``Content-Length`` headers that disagree are
-    a request-smuggling probe, not a client bug to paper over; refusing every
-    conflicting duplicate (not just Content-Length) keeps the rule simple
-    and the parser state canonical.  Repeats with the *same* value stay
-    accepted, as retrying proxies occasionally produce them harmlessly.
+    Returns ``True`` at the blank line that ends the block.  Raises
+    :class:`HeaderLineError` 431 for a line over :data:`MAX_LINE` bytes or a
+    block over :data:`MAX_HEADERS` lines (without a cap one connection could
+    grow the map without bound), and 400 for a line without a colon and for
+    *conflicting duplicates* — the same header name arriving twice with
+    different values.  Two ``Content-Length`` headers that disagree are a
+    request-smuggling probe, not a client bug to paper over; refusing every
+    conflicting duplicate (not just Content-Length) keeps the rule simple and
+    the parser state canonical.  Repeats with the *same* value stay accepted,
+    as retrying proxies occasionally produce them harmlessly.
     """
+    if len(line) > MAX_LINE:
+        raise HeaderLineError(431, "Line too long")
+    if line in (b"\r\n", b"\n"):
+        return True
+    if len(raw) >= MAX_HEADERS:
+        raise HeaderLineError(431, "Too many headers")
     name, separator, value = line.partition(b":")
     if not separator:
         raise HeaderLineError(400, f"Malformed header line {line!r}")
@@ -78,6 +93,30 @@ def store_header_line(raw: Dict[bytes, bytes], line: bytes) -> None:
             f"Conflicting duplicate header {key.decode('iso-8859-1')!r}",
         )
     raw[key] = value
+    return False
+
+
+def body_length(headers) -> int:
+    """The length of the request body that follows ``headers``.
+
+    ``Transfer-Encoding`` is refused outright: this wire frames every body by
+    ``Content-Length``, and a request carrying both is the smuggling shape in
+    which a proxy that honours ``Transfer-Encoding`` sees one request where
+    this server would see two.  A ``Content-Length`` that is not a plain
+    non-negative decimal integer is refused too, rather than guessed at
+    (``rfile.read(-1)`` would block on a keep-alive socket).
+    """
+    if headers.get("Transfer-Encoding") is not None:
+        raise HeaderLineError(
+            400, "Transfer-Encoding is not supported; frame the body by Content-Length"
+        )
+    value = headers.get("Content-Length")
+    if value is None:
+        return 0
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        raise HeaderLineError(400, "Content-Length is not a non-negative integer")
+    return int(value)
 
 
 def reachable_url(host, port) -> str:

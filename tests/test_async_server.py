@@ -1,8 +1,7 @@
 """Behavioural suite for the asyncio multi-tenant graph service.
 
-The conformance matrix already proves the async frontend + async client pair
-is bit-identical to every other backend; this file covers what is *new* in
-the tier: tenants-file validation, API-key auth, server-side budget and
+The conformance matrix already proves the async frontend is bit-identical
+to every other backend; this file covers what the tier adds on top: tenants-file validation, API-key auth, server-side budget and
 rate-limit enforcement with typed 429 round trips, the ``POST /walk``
 endpoint (one round trip, fingerprint-verified against a client-driven
 walk), the ``GET /stats`` usage surface, JSONL access logs, and the server
@@ -15,7 +14,7 @@ import json
 
 import pytest
 
-from repro.api import AsyncHTTPGraphBackend, HTTPGraphBackend, build_api
+from repro.api import HTTPGraphBackend, build_api
 from repro.api.backend import InMemoryBackend
 from repro.api.ratelimit import SimulatedClock
 from repro.exceptions import (
@@ -133,9 +132,9 @@ class TestTenantEnforcement:
 
     def test_missing_and_unknown_keys_answer_401(self, server):
         for client in (
-            AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0),
-            AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                  api_key="wrong"),
+            HTTPGraphBackend(server.url, timeout=5.0, retries=0),
+            HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                             api_key="wrong"),
         ):
             with client:
                 with pytest.raises(RemoteBackendError) as excinfo:
@@ -144,8 +143,8 @@ class TestTenantEnforcement:
 
     def test_budget_bills_unique_nodes_only(self, server, backend):
         ids = backend.node_ids()
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="alice_key") as alice:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="alice_key") as alice:
             for node in ids[:5]:
                 alice.fetch(node)
             # Revisits are free, exactly like the paper's unique-query cost.
@@ -163,8 +162,8 @@ class TestTenantEnforcement:
 
     def test_batch_that_cannot_fit_bills_nothing(self, server, backend):
         ids = backend.node_ids()
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="alice_key") as alice:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="alice_key") as alice:
             with pytest.raises(QueryBudgetExceededError):
                 alice.fetch_many(ids[:7])  # 7 fresh > budget 5, refused whole
             stats = alice._request("GET", "/stats")["tenants"]["alice"]
@@ -173,8 +172,8 @@ class TestTenantEnforcement:
 
     def test_rate_limit_answers_typed_429(self, server, backend, clock):
         ids = backend.node_ids()
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="bob_key") as bob:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="bob_key") as bob:
             bob.fetch(ids[0])
             bob.fetch(ids[1])
             with pytest.raises(RateLimitExceededError) as excinfo:
@@ -202,7 +201,7 @@ class TestServerSideWalks:
         self, server, backend, conformance_graph
     ):
         start = conformance_graph.nodes()[0]
-        with AsyncHTTPGraphBackend(server.url, timeout=10.0) as client:
+        with HTTPGraphBackend(server.url, timeout=10.0) as client:
             payload = client.remote_walk(
                 "srw", start, seed=GOLDEN_SEED, budget=GOLDEN_BUDGET
             )
@@ -219,14 +218,14 @@ class TestServerSideWalks:
     def test_walk_collapses_round_trips(self, server, conformance_graph):
         start = conformance_graph.nodes()[0]
         server.reset_stats()
-        with AsyncHTTPGraphBackend(server.url, timeout=10.0) as client:
+        with HTTPGraphBackend(server.url, timeout=10.0) as client:
             client.remote_walk("srw", start, seed=GOLDEN_SEED,
                                budget=GOLDEN_BUDGET)
         assert server.endpoint_counts["/walk"] == 1
         assert server.endpoint_counts.get("/node", 0) == 0
 
     def test_walk_validates_kernel_start_and_shape(self, server):
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0) as client:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0) as client:
             with pytest.raises(RemoteBackendError) as excinfo:
                 client.remote_walk("no-such-kernel", 0, budget=5)
             assert excinfo.value.status == 400
@@ -239,12 +238,6 @@ class TestServerSideWalks:
                 client.remote_walk("srw", "missing-node", budget=5)
             assert node_info.value.node == "missing-node"
 
-    def test_threaded_server_has_no_walk_endpoint(self, backend, graph_server):
-        threaded = graph_server(backend)
-        with HTTPGraphBackend(threaded.url, timeout=5.0, retries=0) as client:
-            with pytest.raises(RemoteBackendError, match="not an endpoint"):
-                client.remote_walk("srw", 0, budget=5)
-
     def test_walk_bills_the_tenant_and_respects_its_budget(
         self, backend, async_graph_server, conformance_graph
     ):
@@ -252,8 +245,8 @@ class TestServerSideWalks:
             backend, tenants=tenants_doc(key={"name": "carol", "budget": 70})
         )
         start = conformance_graph.nodes()[0]
-        with AsyncHTTPGraphBackend(server.url, timeout=10.0, retries=0,
-                                   api_key="key") as carol:
+        with HTTPGraphBackend(server.url, timeout=10.0, retries=0,
+                              api_key="key") as carol:
             first = carol.remote_walk("srw", start, seed=GOLDEN_SEED,
                                       budget=GOLDEN_BUDGET)
             assert first["unique_queries"] == GOLDEN_BUDGET
@@ -278,7 +271,7 @@ class TestServerSideWalks:
 class TestObservability:
     def test_stats_shape_and_server_totals(self, backend, async_graph_server):
         server = async_graph_server(backend)
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0) as client:
+        with HTTPGraphBackend(server.url, timeout=5.0) as client:
             server.reset_stats()
             node = client.node_ids()[0]
             client.fetch(node)
@@ -301,11 +294,11 @@ class TestObservability:
             tenants=tenants_doc(key={"name": "dora"}),
             access_log=log_path,
         )
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0,
-                                   api_key="key") as client:
+        with HTTPGraphBackend(server.url, timeout=5.0, retries=0,
+                              api_key="key") as client:
             node = client.node_ids()[0]
             client.fetch(node)
-        bad = AsyncHTTPGraphBackend(server.url, timeout=5.0, retries=0)
+        bad = HTTPGraphBackend(server.url, timeout=5.0, retries=0)
         with pytest.raises(RemoteBackendError):
             bad.info()
         bad.close()
@@ -337,7 +330,7 @@ class TestLifecycle:
 
     def test_context_manager_starts_and_closes(self, backend):
         with AsyncGraphServer(backend) as server:
-            with AsyncHTTPGraphBackend(server.url, timeout=5.0) as client:
+            with HTTPGraphBackend(server.url, timeout=5.0) as client:
                 assert client.info()["server"] == "async"
         assert server.closed
 
@@ -354,7 +347,7 @@ class TestLifecycle:
 
     def test_close_with_open_keepalive_connection_does_not_hang(self, backend):
         server = AsyncGraphServer(backend).start()
-        client = AsyncHTTPGraphBackend(server.url, timeout=5.0)
+        client = HTTPGraphBackend(server.url, timeout=5.0)
         assert client.info()["nodes"] == len(backend)
         # The client's keep-alive socket is still open; close() must force it
         # shut rather than wait for the peer.

@@ -28,7 +28,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import (
-    AsyncHTTPGraphBackend,
     CSRBackend,
     GraphBackend,
     HTTPGraphBackend,
@@ -205,9 +204,9 @@ def backend(
     elif kind == "http":
         made = HTTPGraphBackend(http_server.url, timeout=10.0)
     elif kind == "async":
-        # The asyncio client against the asyncio multi-tenant server: both
-        # halves of the PR-9 frontend must be invisible above the protocol.
-        made = AsyncHTTPGraphBackend(async_http_server.url, timeout=10.0)
+        # The same client against the asyncio frontend: both transports of
+        # the shared request router must be invisible above the protocol.
+        made = HTTPGraphBackend(async_http_server.url, timeout=10.0)
     elif kind == "warehouse":
         from repro.warehouse import WarehouseBackend
 

@@ -395,11 +395,9 @@ class TestMetricsEndpoint:
     def test_async_metrics_parse_and_count(self, obs_backend, async_graph_server):
         import urllib.request
 
-        from repro.api import AsyncHTTPGraphBackend
-
         server = async_graph_server(obs_backend)
         node = obs_backend.node_ids()[0]
-        with AsyncHTTPGraphBackend(server.url, timeout=5.0) as client:
+        with HTTPGraphBackend(server.url, timeout=5.0) as client:
             client.fetch(node)
         scrape = urllib.request.urlopen(
             server.url + "/metrics", timeout=5.0).read().decode()

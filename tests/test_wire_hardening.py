@@ -1,4 +1,4 @@
-"""Fault-injection regressions for the four PR-9 wire bugfixes.
+"""Socket-level regressions for the wire's framing and refusal rules.
 
 Each test class pins one fix by reproducing the pre-fix failure mode at the
 socket level, against *both* server frontends where the bug lived in shared
@@ -17,17 +17,26 @@ code:
 4. **Oversized status line** — the lean client capped header lines but let
    ``readline`` silently truncate a 64 KiB+ *status* line, misparsing the
    remainder as headers; now it refuses with ``oversized status line``.
+5. **Transfer-Encoding** — a request carrying both ``Content-Length`` and
+   ``Transfer-Encoding`` used to be framed by its Content-Length, so trailing
+   bytes a ``Transfer-Encoding``-honouring proxy sees as one body were
+   dispatched as a second request; now any ``Transfer-Encoding`` answers 400
+   with ``Connection: close``.
+6. **Typed refusals** — the threaded frontend used to answer parser refusals
+   with the stdlib's ``text/html`` error pages (and 501 for unknown methods);
+   now both frontends answer the same status with the wire's typed JSON.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 from collections import deque
 
 import pytest
 
 from fakes import FAULT_LONG_STATUS, FlakyHTTPHandler
-from repro.api import AsyncHTTPGraphBackend, HTTPGraphBackend, InMemoryBackend
+from repro.api import HTTPGraphBackend, InMemoryBackend
 from repro.exceptions import RemoteBackendError
 from repro.graphs import complete_graph
 from repro.server.wire import reachable_url
@@ -62,6 +71,22 @@ def _raw_exchange(server, payload: bytes, *, shut_wr: bool = False) -> bytes:
                 break
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def _parse_answer(answer: bytes):
+    """Split one raw response into (status, lowercased head, decoded JSON body)."""
+    head, _, body = answer.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, head.lower(), json.loads(body)
+
+
+def _assert_typed_refusal(answer: bytes, status: int) -> dict:
+    got, head, body = _parse_answer(answer)
+    assert got == status
+    assert b"content-type: application/json" in head
+    assert b"connection: close" in head
+    assert body["error"] == "bad_request"
+    return body
 
 
 # ----------------------------------------------------------------------
@@ -111,9 +136,8 @@ class TestDuplicateHeaders:
             b"Content-Length: 0\r\nContent-Length: 5\r\n\r\n"
         )
         answer = _raw_exchange(server, probe)
-        status_line = answer.split(b"\r\n", 1)[0]
-        assert b"400" in status_line
-        assert b"connection: close" in answer.lower()
+        body = _assert_typed_refusal(answer, 400)
+        assert "content-length" in body["message"]
 
     @pytest.mark.parametrize("frontend", ["threaded", "async"])
     def test_conflicting_duplicates_of_any_header_are_refused(
@@ -125,7 +149,7 @@ class TestDuplicateHeaders:
             b"X-Api-Key: alice\r\nX-Api-Key: bob\r\n\r\n"
         )
         answer = _raw_exchange(server, probe)
-        assert b"400" in answer.split(b"\r\n", 1)[0]
+        _assert_typed_refusal(answer, 400)
 
     @pytest.mark.parametrize("frontend", ["threaded", "async"])
     def test_repeated_identical_headers_stay_accepted(
@@ -140,6 +164,79 @@ class TestDuplicateHeaders:
         answer = _raw_exchange(server, probe)
         assert b"200" in answer.split(b"\r\n", 1)[0]
         assert b"repro-graph-http" in answer
+
+
+# ----------------------------------------------------------------------
+# Fix 5: Transfer-Encoding is refused, never framed by Content-Length
+# ----------------------------------------------------------------------
+class TestTransferEncoding:
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    def test_transfer_encoding_with_content_length_is_refused(
+        self, frontend, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        server.reset_stats()
+        # Pre-fix: the 14-byte Content-Length framed the body, and the
+        # trailing GET was dispatched as a second request (endpoint counts
+        # {"/nodes": 1, "/node": 1}) where a proxy honouring
+        # Transfer-Encoding saw only one.
+        body = b'{"nodes":[0]}\n'
+        probe = (
+            b"POST /nodes HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n" + body
+            + b"GET /node/5 HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        answer = _raw_exchange(server, probe)
+        message = _assert_typed_refusal(answer, 400)["message"]
+        assert "Transfer-Encoding" in message
+        assert answer.count(b"HTTP/1.1 ") == 1
+        assert sum(server.endpoint_counts.values()) == 0
+
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    def test_transfer_encoding_alone_is_refused(
+        self, frontend, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        probe = (
+            b"POST /nodes HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"d\r\n{\"nodes\":[0]}\r\n0\r\n\r\n"
+        )
+        _assert_typed_refusal(_raw_exchange(server, probe), 400)
+
+
+# ----------------------------------------------------------------------
+# Fix 6: every refusal is the same typed JSON on both frontends
+# ----------------------------------------------------------------------
+class TestTypedRefusals:
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    @pytest.mark.parametrize("probe, status", [
+        (b"GET /info HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+        (b"GET /info HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 431),
+        (b"GET /info HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n", 431),
+        (b"POST /nodes HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    ], ids=["malformed-line", "long-header", "long-request-line",
+            "too-many-headers", "negative-length"])
+    def test_parser_refusals_are_typed_json(
+        self, frontend, probe, status, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        _assert_typed_refusal(_raw_exchange(server, probe), status)
+
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    def test_unsupported_method_is_a_typed_400(
+        self, frontend, threaded_server, async_server
+    ):
+        server = threaded_server if frontend == "threaded" else async_server
+        # Pre-fix the threaded frontend answered a text/html 501.
+        probe = b"PUT /info HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        status, head, body = _parse_answer(_raw_exchange(server, probe))
+        assert status == 400
+        assert b"content-type: application/json" in head
+        assert body == {"error": "bad_request", "message": "unsupported method PUT"}
 
 
 # ----------------------------------------------------------------------
@@ -199,13 +296,10 @@ class TestOversizedStatusLine:
         server.fault_plan = deque()
         return server
 
-    @pytest.mark.parametrize("client_class", [HTTPGraphBackend, AsyncHTTPGraphBackend])
-    def test_oversized_status_line_raises_typed_wire_error(
-        self, flaky_server, client_class
-    ):
+    def test_oversized_status_line_raises_typed_wire_error(self, flaky_server):
         flaky_server.fault_plan.clear()
         flaky_server.fault_plan.append(FAULT_LONG_STATUS)
-        client = client_class(flaky_server.url, timeout=5.0, retries=0)
+        client = HTTPGraphBackend(flaky_server.url, timeout=5.0, retries=0)
         try:
             with pytest.raises(RemoteBackendError) as excinfo:
                 client.fetch(0)
@@ -216,13 +310,10 @@ class TestOversizedStatusLine:
         finally:
             client.close()
 
-    @pytest.mark.parametrize("client_class", [HTTPGraphBackend, AsyncHTTPGraphBackend])
-    def test_client_recovers_on_retry_after_oversized_status(
-        self, flaky_server, client_class
-    ):
+    def test_client_recovers_on_retry_after_oversized_status(self, flaky_server):
         flaky_server.fault_plan.clear()
         flaky_server.fault_plan.append(FAULT_LONG_STATUS)
-        client = client_class(
+        client = HTTPGraphBackend(
             flaky_server.url, timeout=5.0, retries=2, sleep=lambda _s: None
         )
         try:
