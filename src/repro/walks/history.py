@@ -30,7 +30,8 @@ helpers used by the tests to verify the circulation invariants.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..types import Edge, NodeId
 
@@ -138,8 +139,8 @@ class GroupedEdgeHistory:
         self,
         source: NodeId,
         current: NodeId,
-        partition: Dict[GroupKey, Sequence[NodeId]],
-    ) -> Tuple[List[GroupKey], Dict[GroupKey, List[NodeId]]]:
+        partition: Mapping[GroupKey, Sequence[NodeId]],
+    ) -> Tuple[List[GroupKey], Mapping[GroupKey, Sequence[NodeId]]]:
         """Return the groups eligible for the next departure and their members.
 
         Eligible groups are those outside ``S(u, v)`` that still contain
@@ -149,28 +150,20 @@ class GroupedEdgeHistory:
         is exhausted and every group is eligible with its full member list
         (the node memory is about to reset).  The returned mapping gives, per
         eligible group, the members that may be chosen.
+
+        ``partition`` must have non-empty groups (as
+        :meth:`GroupingStrategy.partition` builds them).  While nothing has
+        been attempted along this edge — the common case, most edges are
+        crossed once per crawl — every group is eligible with all of its
+        members, and ``partition`` itself is returned as the mapping, with no
+        copies: callers treat it as read-only.
         """
         key = (source, current)
-        attempted_nodes = self._nodes_attempted.get(key, set())
-        attempted_groups = self._groups_attempted.get(key, set())
-
-        remaining = {
-            group: [node for node in members if node not in attempted_nodes]
-            for group, members in partition.items()
-        }
-        fresh = [
-            group
-            for group in partition
-            if group not in attempted_groups and remaining[group]
-        ]
-        if fresh:
-            return fresh, {group: remaining[group] for group in fresh}
-        # Group round over: any group with remaining members is eligible.
-        with_remaining = [group for group in partition if remaining[group]]
-        if with_remaining:
-            return with_remaining, {group: remaining[group] for group in with_remaining}
-        # Full neighborhood exhausted: everything resets, all members eligible.
-        return list(partition), {group: list(members) for group, members in partition.items()}
+        attempted_nodes = self._nodes_attempted.get(key)
+        attempted_groups = self._groups_attempted.get(key)
+        if not attempted_nodes and not attempted_groups:
+            return list(partition), partition
+        return filter_candidates(attempted_nodes or set(), attempted_groups or set(), partition)
 
     # ------------------------------------------------------------------
     # Write side
@@ -181,7 +174,7 @@ class GroupedEdgeHistory:
         current: NodeId,
         group: GroupKey,
         chosen: NodeId,
-        partition: Dict[GroupKey, Sequence[NodeId]],
+        partition: Mapping[GroupKey, Sequence[NodeId]],
     ) -> None:
         """Record a departure and apply the reset rules of Section 4.1 step 4.
 
@@ -197,33 +190,28 @@ class GroupedEdgeHistory:
         groups.add(group)
 
         # Full-neighborhood reset: needs every member of every group in
-        # b(u, v); a cheap size guard (partitions are disjoint, so member
-        # counts add up) avoids building the union set on the common path.
-        total_members = sum(len(members) for members in partition.values())
-        if total_members and len(nodes) >= total_members:
-            all_nodes = {node for members in partition.values() for node in members}
-            if all_nodes.issubset(nodes):
-                self._nodes_attempted[key] = set()
-                self._groups_attempted[key] = set()
-                return
-        if len(groups) >= len(partition) and all(g in groups for g in partition):
+        # b(u, v); cheap size guards (groups are non-empty and disjoint, so
+        # there are at least as many members as groups, and member counts
+        # add up) skip the subset test on the common path.
+        if (
+            partition
+            and len(nodes) >= len(partition)
+            and len(nodes) >= sum(map(len, partition.values()))
+            and nodes.issuperset(chain.from_iterable(partition.values()))
+        ):
+            self._nodes_attempted[key] = set()
+            self._groups_attempted[key] = set()
+            return
+        if groups.issuperset(partition):
             self._groups_attempted[key] = set()
             return
         # Early group-round reset: if every group outside S(u, v) is already
         # fully covered by b(u, v), the next departure could not respect the
         # group circulation; start a new group round now.
-        exhausted = True
         for other_group, members in partition.items():
-            if other_group in groups:
-                continue
-            for node in members:
-                if node not in nodes:
-                    exhausted = False
-                    break
-            if not exhausted:
-                break
-        if exhausted:
-            self._groups_attempted[key] = set()
+            if other_group not in groups and not nodes.issuperset(members):
+                return
+        self._groups_attempted[key] = set()
 
     def clear(self) -> None:
         """Forget all history."""
@@ -239,3 +227,32 @@ class GroupedEdgeHistory:
         nodes = {edge: frozenset(values) for edge, values in self._nodes_attempted.items()}
         groups = {edge: frozenset(values) for edge, values in self._groups_attempted.items()}
         return nodes, groups
+
+
+def filter_candidates(
+    attempted_nodes: Set[NodeId],
+    attempted_groups: Set[GroupKey],
+    partition: Mapping[GroupKey, Sequence[NodeId]],
+) -> Tuple[List[GroupKey], Dict[GroupKey, List[NodeId]]]:
+    """The general path of :meth:`GroupedEdgeHistory.candidate_groups`.
+
+    Filters every group against ``b(u, v)`` (``attempted_nodes``) and
+    ``S(u, v)`` (``attempted_groups``) and copies the surviving members.
+    """
+    remaining = {
+        group: [node for node in members if node not in attempted_nodes]
+        for group, members in partition.items()
+    }
+    fresh = [
+        group
+        for group in partition
+        if group not in attempted_groups and remaining[group]
+    ]
+    if fresh:
+        return fresh, {group: remaining[group] for group in fresh}
+    # Group round over: any group with remaining members is eligible.
+    with_remaining = [group for group in partition if remaining[group]]
+    if with_remaining:
+        return with_remaining, {group: remaining[group] for group in with_remaining}
+    # Full neighborhood exhausted: everything resets, all members eligible.
+    return list(partition), {group: list(members) for group, members in partition.items()}

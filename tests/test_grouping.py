@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.api import GraphAPI
@@ -12,6 +14,7 @@ from repro.walks.grouping import (
     CallableGrouping,
     DegreeGrouping,
     ExplicitGrouping,
+    GroupingStrategy,
     HashGrouping,
     NumericBinGrouping,
 )
@@ -37,6 +40,63 @@ class TestHashGrouping:
         partition = grouping.partition(neighbors, api)
         flattened = [node for members in partition.values() for node in members]
         assert sorted(flattened, key=repr) == sorted(neighbors, key=repr)
+
+    @pytest.mark.parametrize("num_groups", [2.5, 3.0, "3", True, None])
+    def test_num_groups_must_be_an_int(self, num_groups):
+        with pytest.raises(InvalidConfigurationError, match="num_groups must be an int"):
+            HashGrouping(num_groups=num_groups)
+
+
+class TestGroupingMemo:
+    def test_equal_parameters_share_partitions(self):
+        neighbors = (3, 1, 4, 15, 9, "two", 6)
+        first = HashGrouping(num_groups=3).partition(neighbors, None)
+        again = HashGrouping(num_groups=3).partition(list(neighbors), None)
+        assert again is first
+        assert HashGrouping(3) == HashGrouping(3)
+        assert hash(HashGrouping(3)) == hash(HashGrouping(3))
+        assert HashGrouping(3) != HashGrouping(4)
+        assert HashGrouping(4).partition(neighbors, None) is not first
+        with pytest.raises(TypeError):
+            first[0] = ()
+
+    def test_partition_members_are_tuples(self, api):
+        for grouping in (HashGrouping(3), DegreeGrouping(), AttributeValueGrouping("city")):
+            partition = grouping.partition([0, 1, 2, 3, 4], api)
+            assert all(type(members) is tuple and members for members in partition.values())
+
+    def test_inexact_ids_are_not_memoised(self):
+        grouping = HashGrouping(num_groups=3)
+        for neighbors in ((1, 2.0), (True, 2), (1, (2, 3))):
+            assert grouping.partition(neighbors, None) is not grouping.partition(neighbors, None)
+
+    def test_partition_is_the_single_entry_point(self):
+        # The per-layer trace wraps GroupingStrategy.partition; an override
+        # would hide the memoised strategy's calls from it.
+        for strategy in (HashGrouping, DegreeGrouping, AttributeValueGrouping, NumericBinGrouping):
+            assert strategy.partition is GroupingStrategy.partition
+
+    def test_cache_reading_strategies_keep_billing(self, attributed_graph):
+        class CountingAPI:
+            """No metadata and no cache: every prefetch is a billed query."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.queries = 0
+
+            def query(self, node):
+                self.queries += 1
+                return self.inner.query(node)
+
+        api = CountingAPI(GraphAPI(attributed_graph))
+        neighbors = (0, 1, 2)
+        for grouping in (DegreeGrouping(), AttributeValueGrouping("city"), NumericBinGrouping("age")):
+            assert grouping.memo_key is None
+            assert grouping != copy.copy(grouping)
+            before = api.queries
+            grouping.partition(neighbors, api)
+            grouping.partition(neighbors, api)
+            assert api.queries - before == 2 * len(neighbors)
 
 
 class TestAttributeValueGrouping:
@@ -96,6 +156,11 @@ class TestDegreeGrouping:
     def test_invalid_bin_width(self):
         with pytest.raises(InvalidConfigurationError):
             DegreeGrouping(logarithmic=False, bin_width=0)
+
+    @pytest.mark.parametrize("bin_width", [2.5, 2.0, "2", True])
+    def test_bin_width_must_be_an_int(self, bin_width):
+        with pytest.raises(InvalidConfigurationError, match="bin_width must be an int"):
+            DegreeGrouping(logarithmic=False, bin_width=bin_width)
 
     def test_does_not_consume_budget(self, attributed_graph):
         api = GraphAPI(attributed_graph)

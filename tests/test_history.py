@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from repro.walks import EdgeHistory, GroupedEdgeHistory
+import pytest
+
+from repro.api import GraphAPI
+from repro.graphs import load_dataset
+from repro.walks import EdgeHistory, GroupedEdgeHistory, make_walker
+from repro.walks.grouping import DegreeGrouping
+from repro.walks.history import filter_candidates
 
 
 class TestEdgeHistory:
@@ -176,3 +182,40 @@ class TestGroupedEdgeHistory:
         groups, members = history.candidate_groups("u", "v", single)
         assert groups == ["only"]
         assert members["only"] == ["x"]
+
+
+class TestCandidateGroupsFastPath:
+    """``candidate_groups`` skips filtering while ``b(u, v)`` is empty.
+
+    Differential check: at every history state seeded GNRW walks reach, the
+    answer (groups, members, and both orders, which feed the rng) must equal
+    the general filtering path's.
+    """
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return load_dataset("facebook_like", seed=3, scale=0.2)
+
+    @pytest.mark.parametrize("grouping", [None, DegreeGrouping()], ids=["md5", "degree"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fast_path_matches_general_path(self, graph, grouping, seed):
+        api = GraphAPI(graph)
+        walker = make_walker("gnrw", api=api, seed=seed, grouping=grouping)
+        history = walker.history
+        answer = history.candidate_groups
+        states = {"fast": 0, "general": 0}
+
+        def checked(source, current, partition):
+            nodes = history.attempted_nodes(source, current)
+            groups = history.attempted_groups(source, current)
+            got_groups, got_members = answer(source, current, partition)
+            want_groups, want_members = filter_candidates(nodes, groups, partition)
+            assert got_groups == want_groups
+            assert list(got_members) == list(want_members)
+            assert {g: list(m) for g, m in got_members.items()} == want_members
+            states["fast" if not nodes and not groups else "general"] += 1
+            return got_groups, got_members
+
+        history.candidate_groups = checked
+        walker.run(graph.nodes()[0], max_steps=1500)
+        assert states["fast"] > 100 and states["general"] > 100

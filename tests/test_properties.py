@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import GraphAPI, InMemoryBackend, LRUCache, QueryBudget, QueryCache
@@ -29,6 +31,14 @@ from repro.walks.grouping import HashGrouping
 # ---------------------------------------------------------------------------
 
 node_ids = st.integers(min_value=0, max_value=30)
+
+#: Neighbor ids for the grouping memo: memoisable ``int``/``str`` ids mixed
+#: with ids that compare equal to them but have a different ``repr``.
+grouping_ids = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.sampled_from(["", "1", "α"]),
+    st.sampled_from([True, False, 1.0, 0.0, -0.0, np.int64(1), np.int64(0)]),
+)
 
 #: Warehouse ids stress the canonical-JSON key encoding: negative ints,
 #: unicode strings, the empty string, and the ``5`` vs ``"5"`` collision.
@@ -223,6 +233,44 @@ class TestGroupingProperties:
         assert sorted(flattened) == sorted(neighbors)
         assert len(flattened) == len(set(flattened))
         assert set(partition).issubset(set(range(num_groups)))
+
+    @given(
+        st.lists(grouping_ids, max_size=30),
+        st.lists(grouping_ids, max_size=30),
+        st.integers(min_value=1, max_value=6),
+    )
+    @example([1, 2], [True, 2], 3)
+    @example([True, 2], [1, 2], 3)
+    @example([1.0, 2], [1, 2], 3)
+    @example([np.int64(1), 2], [1, 2], 3)
+    @example([1, 2], [np.int64(1), 2], 3)
+    @settings(max_examples=150, deadline=None)
+    def test_memoised_hash_grouping_matches_reference_loop(self, first, second, num_groups):
+        """The memo never changes a group, the dict order or the member order.
+
+        Ids that compare equal but print differently (``1``, ``True``,
+        ``1.0``, ``np.int64(1)``) must keep their own groups and identities
+        whichever of them was memoised first.
+        """
+
+        def md5(node):
+            return int(hashlib.md5(repr(node).encode("utf-8")).hexdigest(), 16) % num_groups
+
+        def exact(partition):
+            return [
+                (group, [(type(node), repr(node)) for node in members])
+                for group, members in partition.items()
+            ]
+
+        for neighbors in (first, second, first, second):
+            grouping = HashGrouping(num_groups=num_groups)
+            reference = {}
+            for node in neighbors:
+                reference.setdefault(md5(node), []).append(node)
+            assert exact(grouping.partition(neighbors, None)) == exact(reference)
+            assert exact(grouping.partition(tuple(neighbors), None)) == exact(reference)
+            for node in neighbors:
+                assert grouping.group_of(node, None) == md5(node)
 
 
 # ---------------------------------------------------------------------------
