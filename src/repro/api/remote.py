@@ -134,6 +134,10 @@ def encode_node_id(node: NodeId) -> str:
     percent-encoding with no safe characters keeps slashes, quotes, spaces and
     non-ASCII out of the request line.
     """
+    if type(node) is int:
+        # The common case: a plain int's JSON is its decimal form, which
+        # percent-encoding leaves as it is.
+        return str(node)
     _require_scalar_id(node)
     try:
         encoded = json.dumps(node, default=_coerce_id)

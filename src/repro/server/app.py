@@ -77,10 +77,12 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         lines fall back to the stdlib parser, which answers its own refusals.
         """
         line = self.rfile.readline(MAX_LINE + 1)
-        if not line:
-            return None
         if len(line) > MAX_LINE:
             raise HeaderLineError(431, "Line too long")
+        if not line.endswith(b"\n"):
+            # EOF between requests, or inside the request line (the client
+            # died mid-request): nobody is left to answer.
+            return None
         self.raw_requestline = line
         self.requestline = str(line, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
@@ -89,7 +91,7 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
             raw: Dict[bytes, bytes] = {}
             while True:
                 line = self.rfile.readline(MAX_LINE + 1)
-                if not line:
+                if len(line) <= MAX_LINE and not line.endswith(b"\n"):
                     # EOF mid-headers: the client died (or shut its write
                     # side) before finishing the request.  This is *not* the
                     # blank line that ends a header block — dispatching the
@@ -100,16 +102,28 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
                     break
             self.headers = LeanHeaders(raw)
             self.close_connection = raw.get(b"connection", b"").lower() == b"close"
-            if raw.get(b"expect", b"").lower() == b"100-continue":
-                if not self.handle_expect_100():
-                    return None
+            length = body_length(self.headers)
+            if length and raw.get(b"expect", b"").lower() == b"100-continue":
+                self.handle_expect_100()
         elif not self.parse_request():
             return None
-        length = body_length(self.headers)
+        else:
+            length = body_length(self.headers)
         body = self.rfile.read(length) if length else b""
         if len(body) < length:
             return None
         return self.server.router.begin(self.command, self.path, self.headers, body)
+
+    def handle_expect_100(self) -> bool:
+        """Send the interim ``100 Continue`` now, not with the final response.
+
+        Response writes are buffered until the request is answered, and a
+        client that waits for the 100 before sending its body would stall
+        until it gives up waiting.
+        """
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def send_error(self, code, message=None, explain=None) -> None:
         """Refuse with the wire's typed JSON body and ``Connection: close``.

@@ -37,6 +37,7 @@ asyncio frontend) overlaps its other requests.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import urllib.parse
@@ -87,6 +88,11 @@ _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 #: server-side walks).  ``/info``, ``/meta``, ``/node-ids`` and ``/stats``
 #: stay free, like profile peeks in the paper.
 _BILLABLE = {"/node", "/nodes", "/walk"}
+
+#: A plain origin-form request target (one leading ``/``, no query or
+#: fragment, none of the characters ``urlsplit`` strips), whose
+#: ``urlsplit(target).path`` is the target itself.
+_ORIGIN_FORM = re.compile(r"/(?!/)[^?#\t\r\n]*")
 
 #: Cap on a server-side walk when the request names neither steps nor budget
 #: and the tenant is unlimited; without it one request could walk forever.
@@ -220,7 +226,11 @@ class GraphRouter:
     def begin(self, method: str, target: str, headers, body: bytes) -> Exchange:
         """Start the server timer and count the request against its endpoint."""
         started = time.perf_counter()
-        path = urllib.parse.urlsplit(target).path
+        if _ORIGIN_FORM.fullmatch(target):
+            # Every request this wire's client sends: the target is the path.
+            path = target
+        else:
+            path = urllib.parse.urlsplit(target).path
         endpoint = "/" + path.lstrip("/").split("/", 1)[0] if path.strip("/") else "/"
         with self._lock:
             self.endpoint_counts[endpoint] += 1

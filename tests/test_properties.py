@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -487,6 +488,59 @@ class TestRemoteWireProperties:
                 assert client.fetch_many(backend.node_ids()) == backend.fetch_many(
                     backend.node_ids()
                 )
+
+
+class TestRequestTrimProperties:
+    """The per-request fast paths agree with the general paths they skip."""
+
+    @given(st.one_of(
+        st.text(),
+        st.text().map(lambda tail: "/" + tail),
+        st.text(alphabet="/?#:%[]@ \t\r\nab1").map(lambda tail: "/" + tail),
+    ))
+    @example("/")
+    @example("//host/path")
+    @example("/node/1?x=2")
+    @example("/a\tb")
+    @settings(max_examples=300, deadline=None)
+    def test_router_path_is_urlsplit_path(self, target):
+        import urllib.parse
+
+        from repro.server.router import GraphRouter
+        from repro.server.wire import LeanHeaders
+
+        router = GraphRouter(InMemoryBackend(Graph(name="empty")), "test")
+        try:
+            expected = urllib.parse.urlsplit(target).path
+        except ValueError:
+            with pytest.raises(ValueError):
+                router.begin("GET", target, LeanHeaders({}), b"")
+            return
+        assert router.begin("GET", target, LeanHeaders({}), b"").path == expected
+
+    @given(st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.integers(0, 255).map(np.uint8),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(),
+        st.none(),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_encode_node_id_matches_json_and_quote(self, node):
+        import json
+        import urllib.parse
+
+        from repro.api.remote import _coerce_id, decode_node_id, encode_node_id
+
+        general = urllib.parse.quote(json.dumps(node, default=_coerce_id), safe="")
+        encoded = encode_node_id(node)
+        assert encoded == general
+        decoded = decode_node_id(encoded)
+        assert decoded == node
+        if type(node) in (int, bool):
+            assert type(decoded) is type(node)
 
 
 class TestCacheProperties:
