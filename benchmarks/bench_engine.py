@@ -159,6 +159,12 @@ def test_scheduler_beats_sequential_execution(csr_backend, starts):
         scheduled_seconds=scheduled_seconds,
         speedup=speedup,
         required_speedup=REQUIRED_SPEEDUP,
+        # Every repeat and its quartiles, so the spread behind the median
+        # ratio is visible next to the floor it is judged against.
+        sequential_repeats_seconds=sequential_times,
+        scheduled_repeats_seconds=scheduled_times,
+        sequential_quartiles_seconds=statistics.quantiles(sequential_times, n=4),
+        scheduled_quartiles_seconds=statistics.quantiles(scheduled_times, n=4),
     )
     if REQUIRED_SPEEDUP is not None:
         assert speedup >= REQUIRED_SPEEDUP, (

@@ -11,6 +11,7 @@ small constant factor of CNRW per step.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 import pytest
@@ -86,6 +87,12 @@ def test_gnrw_md5_within_2x_of_cnrw(overhead_graph):
         gnrw_us_per_step=gnrw_us,
         ratio=ratio,
         max_ratio=MAX_GNRW_OVER_CNRW,
+        # Every repeat and its quartiles, so the spread behind the best-of
+        # ratio is visible next to the ceiling it is judged against.
+        cnrw_repeats_seconds=cnrw_times,
+        gnrw_repeats_seconds=gnrw_times,
+        cnrw_quartiles_seconds=statistics.quantiles(cnrw_times, n=4),
+        gnrw_quartiles_seconds=statistics.quantiles(gnrw_times, n=4),
     )
     assert ratio <= MAX_GNRW_OVER_CNRW, (
         f"expected GNRW(MD5) within {MAX_GNRW_OVER_CNRW}x of CNRW per step "

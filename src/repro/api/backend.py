@@ -32,7 +32,7 @@ from ..types import Edge, NodeId
 _EMPTY_ATTRS: Dict[str, Any] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RawRecord:
     """The raw answer of one backend fetch: neighbors plus attributes.
 
@@ -44,6 +44,18 @@ class RawRecord:
     node: NodeId
     neighbors: Tuple[NodeId, ...]
     attributes: Dict[str, Any] = field(default_factory=dict)
+
+    def __init__(
+        self,
+        node: NodeId,
+        neighbors: Tuple[NodeId, ...],
+        attributes: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        # Built once per fetch; see repro.types.Transition.__init__.
+        fields = self.__dict__
+        fields["node"] = node
+        fields["neighbors"] = neighbors
+        fields["attributes"] = {} if attributes is None else attributes
 
     @property
     def degree(self) -> int:
@@ -290,18 +302,17 @@ class CSRBackend(GraphBackend):
 
     def fetch(self, node: NodeId) -> RawRecord:
         i = self._index_of(node)
-        row = self._indices[self._indptr[i]:self._indptr[i + 1]]
+        # One slice + tolist() boxes both row bounds as Python ints at once
+        # (two indptr[...] reads would box two numpy scalars).
+        start, end = self._indptr[i:i + 2].tolist()
+        row = self._indices[start:end].tolist()
         if self._identity:
-            neighbors = tuple(row.tolist())
+            neighbors = tuple(row)
         else:
             ids = self._ids
-            neighbors = tuple(ids[j] for j in row.tolist())
+            neighbors = tuple([ids[j] for j in row])
         attributes = self._attributes.get(node)
-        return RawRecord(
-            node=node,
-            neighbors=neighbors,
-            attributes=dict(attributes) if attributes else {},
-        )
+        return RawRecord(node, neighbors, dict(attributes) if attributes else {})
 
     def fetch_many(self, nodes: Sequence[NodeId]) -> List[RawRecord]:
         indptr = self._indptr
@@ -317,13 +328,8 @@ class CSRBackend(GraphBackend):
                 if not (isinstance(node, (int, np.integer)) and 0 <= node < n):
                     raise NodeNotFoundError(node)
                 i = int(node)
-                records.append(
-                    RawRecord(
-                        node=node,
-                        neighbors=tuple(indices[indptr[i]:indptr[i + 1]].tolist()),
-                        attributes={},
-                    )
-                )
+                start, end = indptr[i:i + 2].tolist()
+                records.append(RawRecord(node, tuple(indices[start:end].tolist()), {}))
             return records
         return [self.fetch(node) for node in nodes]
 

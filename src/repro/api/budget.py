@@ -8,7 +8,10 @@ error-versus-cost curves in Figures 6-11 are produced.
 
 from __future__ import annotations
 
-from ..exceptions import QueryBudgetExceededError
+import numbers
+from typing import Optional
+
+from ..exceptions import InvalidConfigurationError, QueryBudgetExceededError
 
 
 class QueryBudget:
@@ -16,12 +19,25 @@ class QueryBudget:
 
     Args:
         limit: Maximum number of unique queries, or ``None`` for unlimited.
+            Any non-negative :class:`numbers.Integral` except ``bool`` is
+            accepted and converted with ``int()`` (so numpy integers work);
+            anything else raises
+            :class:`~repro.exceptions.InvalidConfigurationError` (a
+            ``ValueError``) here rather than misbehaving at the first query.
     """
 
     def __init__(self, limit=None) -> None:
-        if limit is not None and limit < 0:
-            raise ValueError("budget limit must be non-negative or None")
-        self.limit = limit
+        if limit is not None:
+            if isinstance(limit, bool) or not isinstance(limit, numbers.Integral):
+                raise InvalidConfigurationError(
+                    f"budget limit must be a non-negative integer or None, got {limit!r}"
+                )
+            if limit < 0:
+                raise InvalidConfigurationError(
+                    f"budget limit must be non-negative, got {limit!r}"
+                )
+            limit = int(limit)
+        self.limit: Optional[int] = limit
         self.spent = 0
 
     @property

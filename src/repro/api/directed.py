@@ -27,7 +27,7 @@ class DirectedGraphStore:
         self._predecessors: Dict[NodeId, Set[NodeId]] = {}
         self._attributes: Dict[NodeId, Dict[str, Any]] = {}
 
-    def add_node(self, node: NodeId, **attributes: Any) -> None:
+    def add_node(self, node: NodeId, /, **attributes: Any) -> None:
         self._successors.setdefault(node, set())
         self._predecessors.setdefault(node, set())
         self._attributes.setdefault(node, {})

@@ -18,7 +18,7 @@ in-memory graph with its original constructor signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graphs.graph import Graph
 from ..rng import SeedLike, make_rng
@@ -28,13 +28,22 @@ from .cache import QueryCache
 from .ratelimit import RateLimitPolicy, SimulatedClock, UnlimitedPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NodeView:
     """The response of one neighborhood query: neighbors plus attributes."""
 
     node: NodeId
     neighbors: Tuple[NodeId, ...]
     attributes: Dict[str, Any]
+
+    def __init__(
+        self, node: NodeId, neighbors: Tuple[NodeId, ...], attributes: Dict[str, Any]
+    ) -> None:
+        # Built once per billable query; see repro.types.Transition.__init__.
+        fields = self.__dict__
+        fields["node"] = node
+        fields["neighbors"] = neighbors
+        fields["attributes"] = attributes
 
     @property
     def degree(self) -> int:
@@ -126,7 +135,8 @@ class GraphAPI(SocialNetworkAPI):
 
     Args:
         graph: The underlying social graph.
-        budget: Optional :class:`QueryBudget` limiting *unique* queries.
+        budget: Optional :class:`QueryBudget` (or integer limit) capping
+            *unique* queries.
         rate_limit: Optional rate-limit policy applied to unique queries.
         clock: Simulated clock used by the rate limiter (a fresh one is
             created when omitted).
@@ -143,7 +153,7 @@ class GraphAPI(SocialNetworkAPI):
     def __init__(
         self,
         graph: Graph,
-        budget: Optional[QueryBudget] = None,
+        budget: Union[QueryBudget, int, None] = None,
         rate_limit: Optional[RateLimitPolicy] = None,
         clock: Optional[SimulatedClock] = None,
         cache_capacity: Optional[int] = None,
@@ -153,19 +163,20 @@ class GraphAPI(SocialNetworkAPI):
         from .builder import build_api
 
         self._graph = graph
-        self.budget = budget if budget is not None else QueryBudget(None)
         self.rate_limit = rate_limit or UnlimitedPolicy()
         self.clock = clock or SimulatedClock()
         self._rng = make_rng(seed)
         self._stack = build_api(
             graph,
-            budget=self.budget,
+            budget=budget if budget is not None else QueryBudget(None),
             rate_limit=self.rate_limit,
             clock=self.clock,
             cache_capacity=cache_capacity,
             shuffle_neighbors=shuffle_neighbors,
             seed=self._rng,
         )
+        # The budget layer's QueryBudget (an integer limit is converted there).
+        self.budget = self._stack.budget
 
     # ------------------------------------------------------------------
     # SocialNetworkAPI interface

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .. import obs
 from ..exceptions import NodeNotFoundError, QueryBudgetExceededError
@@ -77,12 +78,13 @@ class BackendAPI(SocialNetworkAPI):
         return self._backend
 
     def query(self, node: NodeId) -> NodeView:
-        self.stats.total += 1
+        stats = self.stats
+        stats.total += 1
         record = self._backend.fetch(node)
-        self.stats.unique += 1
-        return NodeView(
-            node=record.node, neighbors=record.neighbors, attributes=dict(record.attributes)
-        )
+        stats.unique += 1
+        # The copy stays: in-memory and warehouse backends hand out their
+        # shared attribute dicts.
+        return NodeView(record.node, record.neighbors, dict(record.attributes))
 
     def query_many(self, nodes: Sequence[NodeId]) -> List[NodeView]:
         nodes = list(nodes)
@@ -96,10 +98,7 @@ class BackendAPI(SocialNetworkAPI):
             raise
         self.stats.total += len(nodes)
         self.stats.unique += len(records)
-        return [
-            NodeView(node=r.node, neighbors=r.neighbors, attributes=dict(r.attributes))
-            for r in records
-        ]
+        return [NodeView(r.node, r.neighbors, dict(r.attributes)) for r in records]
 
     @property
     def unique_queries(self) -> int:
@@ -335,18 +334,23 @@ class BudgetLayer(APILayer):
 
     layer_name = "budget"
 
-    def __init__(self, inner: SocialNetworkAPI, budget: Optional[QueryBudget] = None) -> None:
+    def __init__(
+        self, inner: SocialNetworkAPI, budget: Union[QueryBudget, int, None] = None
+    ) -> None:
         super().__init__(inner)
-        if budget is None:
-            budget = QueryBudget(None)
-        elif isinstance(budget, int):
+        if not isinstance(budget, QueryBudget):
+            # None means unlimited; anything but an integer limit raises
+            # InvalidConfigurationError here, not at the first query.
             budget = QueryBudget(budget)
         self.budget = budget
         self._stats: Optional[QueryStats] = getattr(inner, "stats", None)
 
     def query(self, node: NodeId) -> NodeView:
+        # can_spend(1) before the fetch and spend(1) after it, inlined: this
+        # runs once per billable query.
         budget = self.budget
-        if not budget.can_spend(1):
+        limit = budget.limit
+        if limit is not None and budget.spent >= limit:
             # A rejected attempt still counts as a call (the historic GraphAPI
             # incremented total_queries before the budget raised).
             if self._stats is not None:
@@ -354,9 +358,9 @@ class BudgetLayer(APILayer):
             registry = obs.metrics()
             if registry is not None:
                 registry.inc("repro_budget_denied_total")
-            raise QueryBudgetExceededError(budget.limit, spent=budget.spent)
+            raise QueryBudgetExceededError(limit, spent=budget.spent)
         view = self._inner.query(node)
-        budget.spend(1)
+        budget.spent += 1
         return view
 
     def query_many(self, nodes: Sequence[NodeId]) -> List[NodeView]:
@@ -605,6 +609,24 @@ def iter_layers(api: SocialNetworkAPI):
         if not isinstance(current, APILayer):
             return
         current = current.inner
+
+
+def unique_counter(api: SocialNetworkAPI) -> Callable[[], int]:
+    """A zero-argument reader of ``api.unique_queries``, resolved once.
+
+    Through layers that keep the inherited counter properties, every
+    ``unique_queries`` read walks down to the core :class:`BackendAPI`'s
+    stats; per-step loops read that object directly instead.  When a layer or
+    the core answers the counter itself (a custom layer, the legacy
+    ``GraphAPI`` shim) the reader falls back to the property.
+    """
+    for layer in iter_layers(api):
+        counter = type(layer).unique_queries
+        if counter is BackendAPI.unique_queries:
+            return partial(getattr, layer.stats, "unique")
+        if counter is not APILayer.unique_queries:
+            break
+    return partial(getattr, api, "unique_queries")
 
 
 def describe_stack(api: SocialNetworkAPI) -> str:

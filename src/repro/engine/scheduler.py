@@ -49,10 +49,8 @@ from ..types import NodeId, Sample, Transition
 from ..walks.base import (
     RandomWalk,
     WalkResult,
-    budget_exhausted,
-    budget_is_unlimited,
-    budget_limit,
     implicit_step_cap,
+    stack_budget,
 )
 
 #: How the scheduler reacts when a walker reaches a node with no neighbors.
@@ -155,14 +153,15 @@ class WalkScheduler:
             return []
         per_walker_steps = self._per_walker_steps(steps, len(walkers))
         unbounded = [cap is None for cap in per_walker_steps]
+        budget = stack_budget(self.api)
         implicit_cap = None
         if any(unbounded):
-            if budget_is_unlimited(self.api):
+            if budget is None or budget.unlimited:
                 raise ValueError(
                     "schedule would never terminate: provide steps (per walker "
                     "or shared) or an API with a finite query budget"
                 )
-            implicit_cap = implicit_step_cap(budget_limit(self.api))
+            implicit_cap = implicit_step_cap(budget.limit)
 
         lanes = [
             _Lane(walker=walker, max_steps=cap)
@@ -225,7 +224,7 @@ class WalkScheduler:
                 break
             if implicit_cap is not None and round_index >= implicit_cap:
                 break
-            if any(lane.max_steps is None for lane in active) and budget_exhausted(self.api):
+            if any(lane.max_steps is None for lane in active) and budget.exhausted:
                 stopped = True
                 break
             round_index += 1
@@ -401,11 +400,8 @@ class WalkScheduler:
                     view = views[state.current]
                     add_sample(
                         Sample(
-                            node=view.node,
-                            degree=view.degree,
-                            attributes=dict(view.attributes),
-                            step_index=round_index,
-                            query_cost=query_cost,
+                            view.node, len(view.neighbors), dict(view.attributes),
+                            round_index, query_cost,
                         )
                     )
         for lane in lanes:
@@ -439,11 +435,8 @@ class WalkScheduler:
 
     def _make_sample(self, view: NodeView, step_index: int) -> Sample:
         return Sample(
-            node=view.node,
-            degree=view.degree,
-            attributes=dict(view.attributes),
-            step_index=step_index,
-            query_cost=self.api.unique_queries,
+            view.node, len(view.neighbors), dict(view.attributes), step_index,
+            self.api.unique_queries,
         )
 
     def _retire_finished(self, lanes: Sequence[_Lane]) -> None:

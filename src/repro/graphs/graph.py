@@ -48,8 +48,11 @@ class Graph:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_node(self, node: NodeId, **attributes: Any) -> None:
-        """Add ``node`` (idempotent) and merge ``attributes`` into its record."""
+    def add_node(self, node: NodeId, /, **attributes: Any) -> None:
+        """Add ``node`` (idempotent) and merge ``attributes`` into its record.
+
+        ``node`` is positional-only, so an attribute may be named ``node``.
+        """
         if node not in self._adjacency:
             self._adjacency[node] = set()
             self._attributes[node] = {}
@@ -98,8 +101,11 @@ class Graph:
         del self._adjacency[node]
         del self._attributes[node]
 
-    def set_attributes(self, node: NodeId, **attributes: Any) -> None:
-        """Merge ``attributes`` into the record of an existing node."""
+    def set_attributes(self, node: NodeId, /, **attributes: Any) -> None:
+        """Merge ``attributes`` into the record of an existing node.
+
+        ``node`` is positional-only, so an attribute may be named ``node``.
+        """
         if node not in self._adjacency:
             raise NodeNotFoundError(node)
         self._attributes[node].update(attributes)

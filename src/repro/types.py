@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 #: A node identifier.  Anything hashable works; the loaders produce ``int``.
 NodeId = Hashable
@@ -24,7 +24,7 @@ NodePredicate = Callable[[NodeId, AttributeMap], bool]
 Number = Union[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transition:
     """One step of a random walk.
 
@@ -38,8 +38,18 @@ class Transition:
     target: NodeId
     step_index: int
 
+    def __init__(self, source: NodeId, target: NodeId, step_index: int) -> None:
+        # Every walk step builds one of these.  The generated frozen __init__
+        # pays one object.__setattr__ call per field; writing the instance
+        # dict directly stores the same fields and keeps the class frozen,
+        # equal and hashable exactly as the dataclass defines it.
+        fields = self.__dict__
+        fields["source"] = source
+        fields["target"] = target
+        fields["step_index"] = step_index
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Sample:
     """A sampled node together with the information needed to reweight it.
 
@@ -57,6 +67,22 @@ class Sample:
     attributes: Dict[str, Any] = field(default_factory=dict)
     step_index: int = 0
     query_cost: int = 0
+
+    def __init__(
+        self,
+        node: NodeId,
+        degree: int,
+        attributes: Optional[Dict[str, Any]] = None,
+        step_index: int = 0,
+        query_cost: int = 0,
+    ) -> None:
+        # Built once per emitted sample; see Transition.__init__.
+        fields = self.__dict__
+        fields["node"] = node
+        fields["degree"] = degree
+        fields["attributes"] = {} if attributes is None else attributes
+        fields["step_index"] = step_index
+        fields["query_cost"] = query_cost
 
     def value(self, attribute: str, default: float = 0.0) -> float:
         """Return a numeric attribute of the sample, or ``default``."""

@@ -21,35 +21,23 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from ..api.budget import QueryBudget
 from ..api.interface import NodeView, SocialNetworkAPI
+from ..api.middleware import unique_counter
 from ..exceptions import DeadEndError, InvalidStartNodeError, QueryBudgetExceededError
 from ..rng import SeedLike, make_rng
 from ..types import NodeId, Sample, Transition
 from .kernels import TransitionKernel, WalkState
 
 
-def budget_is_unlimited(api: SocialNetworkAPI) -> bool:
-    """Whether the stack has no finite unique-query budget."""
+def stack_budget(api: SocialNetworkAPI) -> Optional[QueryBudget]:
+    """The stack's unique-query budget, or ``None`` when it has none.
+
+    Resolved once per run by both walk drivers: the lookup is delegated down
+    the middleware layers, which is too slow to repeat on every step.
+    """
     budget = getattr(api, "budget", None)
-    if budget is None:
-        return True
-    return bool(getattr(budget, "unlimited", False))
-
-
-def budget_limit(api: SocialNetworkAPI) -> Optional[int]:
-    """The stack's unique-query limit, or ``None``."""
-    budget = getattr(api, "budget", None)
-    if budget is None:
-        return None
-    return getattr(budget, "limit", None)
-
-
-def budget_exhausted(api: SocialNetworkAPI) -> bool:
-    """Whether the stack's budget has been fully spent."""
-    budget = getattr(api, "budget", None)
-    if budget is None:
-        return False
-    return bool(getattr(budget, "exhausted", False))
+    return budget if isinstance(budget, QueryBudget) else None
 
 
 def implicit_step_cap(limit: Optional[int]) -> int:
@@ -185,16 +173,15 @@ class RandomWalk:
         """Perform one transition off an externally fetched view of the
         current node (no API query issued by this method itself; the kernel
         may still query for metadata, e.g. GNRW grouping prefetch)."""
-        if self._state.current is None:
+        state = self._state
+        if state.current is None:
             raise InvalidStartNodeError("walk has not been started; call start() first")
-        if view.degree == 0:
-            raise DeadEndError(self._state.current)
+        if not view.neighbors:
+            raise DeadEndError(state.current)
         next_node = self._choose_next(view)
-        transition = Transition(
-            source=self._state.current, target=next_node, step_index=self._state.step_index
-        )
-        self._on_transition(self._state.current, next_node, view)
-        self._state.advance(next_node)
+        transition = Transition(state.current, next_node, state.step_index)
+        self._on_transition(state.current, next_node, view)
+        state.advance(next_node)
         return transition
 
     def walk(self, start_node: NodeId, steps: int) -> WalkResult:
@@ -232,16 +219,17 @@ class RandomWalk:
             raise ValueError("thinning must be at least 1")
         if burn_in < 0:
             raise ValueError("burn_in must be non-negative")
-        if max_steps is None and max_samples is None and self._budget_is_unlimited():
+        api = self.api
+        budget = stack_budget(api)
+        limit = budget.limit if budget is not None else None
+        if max_steps is None and max_samples is None and limit is None:
             raise ValueError(
                 "walk would never terminate: provide max_steps, max_samples, "
                 "or an API with a finite query budget"
             )
-        implicit_cap = None
-        if max_steps is None:
-            limit = self._budget_limit()
-            if limit is not None:
-                implicit_cap = implicit_step_cap(limit)
+        budget_driven = max_steps is None and limit is not None
+        implicit_cap = implicit_step_cap(limit) if budget_driven else None
+        query_cost = unique_counter(api)
         self.reset()
         result = WalkResult()
         try:
@@ -252,15 +240,16 @@ class RandomWalk:
             return result
         result.path.append(start_node)
         if burn_in == 0:
-            result.samples.append(self._make_sample(start_view, step_index=0))
+            result.samples.append(self._make_sample(start_view, 0, query_cost()))
+        state = self._state
         while True:
-            if max_steps is not None and self._state.step_index >= max_steps:
+            if max_steps is not None and state.step_index >= max_steps:
                 break
-            if implicit_cap is not None and self._state.step_index >= implicit_cap:
+            if implicit_cap is not None and state.step_index >= implicit_cap:
                 break
             if max_samples is not None and len(result.samples) >= max_samples:
                 break
-            if max_steps is None and self._budget_exhausted():
+            if budget_driven and budget.exhausted:
                 result.stopped_by_budget = True
                 break
             try:
@@ -273,11 +262,11 @@ class RandomWalk:
             step = transition.step_index + 1
             if step >= burn_in and (step - burn_in) % thinning == 0:
                 try:
-                    view = self.api.query(transition.target)
+                    view = api.query(transition.target)
                 except QueryBudgetExceededError:
                     result.stopped_by_budget = True
                     break
-                result.samples.append(self._make_sample(view, step_index=step))
+                result.samples.append(self._make_sample(view, step, query_cost()))
         self._finalize(result)
         return result
 
@@ -318,27 +307,14 @@ class RandomWalk:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _make_sample(self, view: NodeView, step_index: int) -> Sample:
+    def _make_sample(self, view: NodeView, step_index: int, query_cost: int) -> Sample:
         return Sample(
-            node=view.node,
-            degree=view.degree,
-            attributes=dict(view.attributes),
-            step_index=step_index,
-            query_cost=self.api.unique_queries,
+            view.node, len(view.neighbors), dict(view.attributes), step_index, query_cost
         )
 
     def _finalize(self, result: WalkResult) -> None:
         result.unique_queries = self.api.unique_queries
         result.total_queries = self.api.total_queries
-
-    def _budget_is_unlimited(self) -> bool:
-        return budget_is_unlimited(self.api)
-
-    def _budget_limit(self) -> Optional[int]:
-        return budget_limit(self.api)
-
-    def _budget_exhausted(self) -> bool:
-        return budget_exhausted(self.api)
 
     def _uniform_choice(self, items: Sequence[NodeId]) -> NodeId:
         if not items:

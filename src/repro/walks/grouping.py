@@ -26,13 +26,16 @@ strategy's cost is paid once per neighbor per step.  A *pure* strategy — one
 whose ``group_of`` depends on the node id and its own parameters alone, which
 today is only ``HashGrouping`` — declares a ``memo_key``, and
 :meth:`GroupingStrategy.partition` then serves it from a bounded, process-wide
-memo keyed by the strategy and the exact neighbor tuple (``HashGrouping`` also
-memoises its per-node MD5).  The entries are plain functions of their keys,
-so walks on the same graph (sweeps, ensembles, server-side walks) share them
-with bit-identical results.  Keys are exact: only neighbor tuples whose ids
-are all exactly ``int`` or ``str`` are memoised, because ids that compare
-equal with different ``repr`` (``1``, ``True``, ``1.0``, ``np.int64(1)``)
-must never share an entry; anything else takes the unmemoised loop.
+memo keyed by the strategy's class and ``memo_key`` and the exact neighbor
+tuple (``HashGrouping`` also memoises its per-node MD5).  The entries are
+plain functions of their keys, so walks on the same graph (sweeps,
+ensembles, server-side walks) share them with bit-identical results.  Keys
+are exact: only neighbor tuples whose ids are all exactly ``int`` or ``str``
+are memoised, because ids that compare equal with different ``repr`` (``1``,
+``True``, ``1.0``, ``np.int64(1)``) must never share an entry; anything else
+takes the unmemoised loop.  That exact-id scan costs a pass over the tuple,
+so each entry remembers the last tuple object that passed it: a walk
+revisiting a node gets the cached view's tuple back and skips the scan.
 Degree-, attribute- and bin-based strategies are not memoised: they read the
 API's metadata or query cache (whose contents change during a crawl) and may
 bill a query with ``prefetch``, and a memo would skip that billing.
@@ -41,6 +44,7 @@ bill a query with ``prefetch``, and a memo would skip that billing.
 from __future__ import annotations
 
 import hashlib
+import threading
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
@@ -87,8 +91,20 @@ class GroupingStrategy:
         """
         if self.memo_key is not None:
             key = tuple(neighbors)
+            memo_id = (type(self), self.memo_key, key)
+            entry = _PARTITIONS.get(memo_id)
+            if entry is not None and entry[0] is key:
+                # The exact-id scan already passed for this very tuple (a
+                # walk revisiting a node gets the cached view's tuple back).
+                return entry[1]
             if _EXACT_ID_TYPES.issuperset(map(type, key)):
-                return _memo_partition(self, key)
+                if entry is None:
+                    # Pure strategies never touch the API, so none is passed.
+                    entry = [key, MappingProxyType(_partition_loop(self, key, None))]
+                    _store(memo_id, entry)
+                else:
+                    entry[0] = key
+                return entry[1]
         return _partition_loop(self, neighbors, api)
 
     def __eq__(self, other: Any) -> bool:
@@ -115,10 +131,22 @@ def _partition_loop(
     return {group: tuple(members) for group, members in groups.items()}
 
 
-@lru_cache(maxsize=PARTITION_MEMO_SIZE)
-def _memo_partition(strategy: GroupingStrategy, neighbors: Tuple[NodeId, ...]) -> Partition:
-    # Pure strategies never touch the API, so none is passed.
-    return MappingProxyType(_partition_loop(strategy, neighbors, None))
+#: The partition memo of pure strategies: (class, memo_key, neighbor tuple)
+#: -> [tuple, read-only partition].  The first slot is the last tuple object
+#: that passed the exact-id scan (an equal tuple, so the partition holds for
+#: it), so ``partition`` skips the scan whenever it is handed that same
+#: object again.  Reads are lock-free; inserts take the lock so eviction
+#: never races another insert.
+_PARTITIONS: Dict[Tuple[Any, ...], List[Any]] = {}
+_PARTITIONS_LOCK = threading.Lock()
+
+
+def _store(memo_id: Tuple[Any, ...], entry: List[Any]) -> None:
+    """Insert a memo entry, evicting the oldest one once the memo is full."""
+    with _PARTITIONS_LOCK:
+        if len(_PARTITIONS) >= PARTITION_MEMO_SIZE:
+            del _PARTITIONS[next(iter(_PARTITIONS))]
+        _PARTITIONS[memo_id] = entry
 
 
 def _md5_group(node: NodeId, num_groups: int) -> int:

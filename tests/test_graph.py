@@ -134,6 +134,12 @@ class TestQueries:
         with pytest.raises(NodeNotFoundError):
             triangle_graph.set_attributes(10, x=1)
 
+    def test_attribute_may_be_named_node(self, triangle_graph):
+        triangle_graph.set_attributes(0, node=5)
+        triangle_graph.add_node(7, node="seven")
+        assert triangle_graph.attributes(0) == {"node": 5}
+        assert triangle_graph.attributes(7) == {"node": "seven"}
+
 
 class TestStructure:
     def test_average_degree(self, triangle_graph):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import copy
+import sys
+import threading
 
 import pytest
 
 from repro.api import GraphAPI
 from repro.exceptions import InvalidConfigurationError
+from repro.walks import grouping as grouping_module
 from repro.walks import make_grouping
 from repro.walks.grouping import (
     AttributeValueGrouping,
@@ -69,6 +72,66 @@ class TestGroupingMemo:
         grouping = HashGrouping(num_groups=3)
         for neighbors in ((1, 2.0), (True, 2), (1, (2, 3))):
             assert grouping.partition(neighbors, None) is not grouping.partition(neighbors, None)
+
+    def test_exact_id_scan_runs_once_per_tuple_object(self, monkeypatch):
+        scans = []
+
+        class CountingTypes(frozenset):
+            def issuperset(self, types):
+                scans.append(1)
+                return super().issuperset(types)
+
+        monkeypatch.setattr(grouping_module, "_EXACT_ID_TYPES", CountingTypes((int, str)))
+        grouping = HashGrouping(num_groups=5)
+        first = (10_001, 10_002, "x", 10_003)
+        partition = grouping.partition(first, None)
+        assert grouping.partition(first, None) is partition
+        assert len(scans) == 1  # a revisit hands back the very same tuple
+        equal = tuple(list(first))
+        assert equal is not first
+        assert grouping.partition(equal, None) is partition
+        assert grouping.partition(equal, None) is partition
+        assert len(scans) == 2  # an equal new tuple is scanned once, then re-used
+        assert grouping.partition(first, None) is partition
+        assert len(scans) == 3  # the memo now answers for `equal`, not `first`
+
+    def test_memo_stays_bounded_and_exact_under_threads(self):
+        """Concurrent walks share the memo: eviction never races an insert."""
+        grouping = HashGrouping(num_groups=4)
+        per_thread = grouping_module.PARTITION_MEMO_SIZE
+        errors = []
+
+        def reference(neighbors):
+            groups = {}
+            for node in neighbors:
+                groups.setdefault(grouping.group_of(node, None), []).append(node)
+            return {group: tuple(members) for group, members in groups.items()}
+
+        def crawl(offset):
+            try:
+                for i in range(per_thread):
+                    neighbors = tuple(range(offset + i, offset + i + 5))
+                    if dict(grouping.partition(neighbors, None)) != reference(neighbors):
+                        errors.append(neighbors)
+            except Exception as error:  # noqa: BLE001 - reported by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=crawl, args=(offset,))
+                for offset in range(0, 8000, 1000)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(grouping_module._PARTITIONS) <= grouping_module.PARTITION_MEMO_SIZE
 
     def test_partition_is_the_single_entry_point(self):
         # The per-layer trace wraps GroupingStrategy.partition; an override
