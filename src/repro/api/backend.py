@@ -68,10 +68,20 @@ class GraphBackend:
     Implementations answer per-node fetches and (optionally optimised) batch
     fetches.  They do **no** accounting: budgets, caches and rate limits are
     middleware concerns layered on top by :func:`repro.api.builder.build_api`.
+
+    A backend whose records can never change sets :attr:`immutable_records`.
+    The graph server then encodes each record's JSON body once and reuses it,
+    keyed by exact ``int`` / ``str`` node id in a memo bounded by
+    ``repro.server.router.RECORD_MEMO_BYTES``.  It still calls ``fetch`` /
+    ``fetch_many`` on every request, so misses, faults and billing stay exact.
     """
 
     #: Human-readable backend name used by reprs and benchmarks.
     name = "backend"
+    #: Whether ``fetch(node)`` and ``fetch_many([..., node, ...])`` return
+    #: equal records for the same id for the backend's whole lifetime.  Off
+    #: by default: a live graph or caller-owned arrays may change under it.
+    immutable_records = False
 
     def fetch(self, node: NodeId) -> RawRecord:
         """Return the :class:`RawRecord` of ``node`` or raise

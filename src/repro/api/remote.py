@@ -44,15 +44,25 @@ exchange into :meth:`~_LeanHTTPConnection.send_request` /
 :class:`~repro.cluster.ShardedBackend` *pipeline* a frontier batch: post
 every shard's sub-batch first, then collect the responses while the shard
 servers work concurrently.
+
+Every ``GET /node`` still crosses the wire and is billed, but the client
+decodes each distinct response body once: a bounded memo keyed by the exact
+body bytes hands back the decoded neighbor tuple (immutable, so shared) with
+a fresh attributes dict, which makes it exact by construction.  Only a 200
+body that decoded cleanly is memoised, so retries and error mapping are
+unaffected.  ``POST /nodes`` batch bodies rarely repeat and are decoded as
+they come.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 import urllib.parse
 import zlib
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +83,11 @@ from .backend import GraphBackend, RawRecord
 WIRE_FORMAT = "repro-graph-http"
 #: Current wire-protocol version; bump on any incompatible change.
 WIRE_VERSION = 1
+
+#: Ceiling of one client's ``GET /node`` decode memo, in resident bytes.  An
+#: entry (the body as key, the decoded record as value) measured 6-8x its
+#: body's length with integer ids, so each is charged 8x its body.
+RECORD_MEMO_BYTES = 16 << 20
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +113,43 @@ def record_from_wire(payload: Any) -> RawRecord:
         raise RemoteBackendError(
             f"malformed node record on the wire ({exc}): {payload!r}"
         ) from exc
+
+
+class BoundedMemo:
+    """A dict capped at ``limit`` weighed bytes; the oldest entry goes first.
+
+    ``weigh(key, value)`` is an entry's charge against the limit, and an
+    entry heavier than the whole limit is not stored.  Reads are lock-free
+    dict lookups; :meth:`put` takes the lock, so an insert never races
+    another insert's eviction.
+    """
+
+    def __init__(self, limit: int, weigh: Callable[[Any, Any], int]) -> None:
+        self.limit = limit
+        #: Total weight of the stored entries (never above ``limit``).
+        self.size = 0
+        self._weigh = weigh
+        # An OrderedDict evicts its oldest entry in O(1); a plain dict's
+        # next(iter(...)) scans every slot deleted since its last resize.
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.get = self._entries.get
+
+    def put(self, key, value) -> None:
+        weight = self._weigh(key, value)
+        if weight > self.limit:
+            return
+        with self._lock:
+            entries = self._entries
+            if key in entries:
+                return
+            while self.size + weight > self.limit:
+                self.size -= self._weigh(*entries.popitem(last=False))
+            entries[key] = value
+            self.size += weight
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def _coerce_id(value):
@@ -177,6 +229,18 @@ class _TransientResponse(Exception):
     Unlike :class:`_WireError` the connection itself is healthy — the body
     was fully read — so the retry reuses the keep-alive socket.
     """
+
+
+def _decode_json(data: bytes) -> Any:
+    """Decode a 200 body; malformed JSON is a transient fault (retried)."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as error:
+        raise _TransientResponse(f"malformed JSON response body ({error})") from None
+
+
+def _body_weight(data: bytes, entry) -> int:
+    return 8 * len(data)
 
 
 class _LeanHTTPConnection:
@@ -416,6 +480,8 @@ class HTTPGraphBackend(GraphBackend):
         self._info: Optional[Dict[str, Any]] = None
         self._node_ids: Optional[List[NodeId]] = None
         self._meta_cache: Dict[NodeId, Dict[str, Any]] = {}
+        #: ``GET /node`` body bytes -> (node, neighbors, attributes) decoded.
+        self._records = BoundedMemo(RECORD_MEMO_BYTES, _body_weight)
         self.name = name if name is not None else f"http:{parsed.netloc}"
 
     # ------------------------------------------------------------------
@@ -464,11 +530,13 @@ class HTTPGraphBackend(GraphBackend):
             return {}
         return payload if isinstance(payload, dict) else {}
 
-    def _interpret(self, method: str, path: str, status: int, data: bytes):
+    def _interpret(self, method: str, path: str, status: int, data: bytes,
+                   decode: Callable[[bytes], Any] = _decode_json):
         """Map one complete response to its payload or a typed error.
 
-        Raises :class:`_TransientResponse` for conditions worth retrying on
-        the still-healthy connection (5xx, malformed JSON body), the typed
+        A 200 body goes through ``decode``.  Raises
+        :class:`_TransientResponse` for conditions worth retrying on the
+        still-healthy connection (5xx, malformed JSON body), the typed
         node errors for node-level 404s, and
         :class:`~repro.exceptions.RemoteBackendError` for everything
         protocol-fatal.
@@ -513,12 +581,10 @@ class HTTPGraphBackend(GraphBackend):
                 url=self.base_url,
                 status=status,
             )
-        try:
-            return json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise _TransientResponse(f"malformed JSON response body ({error})") from None
+        return decode(data)
 
-    def _request(self, method: str, path: str, body: Optional[bytes] = None):
+    def _request(self, method: str, path: str, body: Optional[bytes] = None,
+                 decode: Callable[[bytes], Any] = _decode_json):
         """One logical request: retries, backoff and error mapping live here.
 
         Telemetry rides along without changing the schedule: when a tracer
@@ -532,9 +598,9 @@ class HTTPGraphBackend(GraphBackend):
         When the global metrics registry is enabled, requests, retries and
         latency are counted.
         """
-        return self._request_attempts(method, path, body, obs.current_tracer())
+        return self._request_attempts(method, path, body, obs.current_tracer(), decode)
 
-    def _request_attempts(self, method, path, body, tracer):
+    def _request_attempts(self, method, path, body, tracer, decode):
         registry = obs.metrics()
         attempts = self._retries + 1
         failure = "no attempt made"
@@ -554,7 +620,7 @@ class HTTPGraphBackend(GraphBackend):
         try:
             return self._run_attempts(
                 method, path, body, tracer, registry, span,
-                attempts, failure, started, endpoint,
+                attempts, failure, started, endpoint, decode,
             )
         finally:
             # Non-transient outcomes (404 -> NodeNotFoundError, bad batch
@@ -565,7 +631,7 @@ class HTTPGraphBackend(GraphBackend):
 
     def _run_attempts(
         self, method, path, body, tracer, registry, span,
-        attempts, failure, started, endpoint,
+        attempts, failure, started, endpoint, decode,
     ):
         for attempt in range(attempts):
             if attempt:
@@ -606,7 +672,7 @@ class HTTPGraphBackend(GraphBackend):
                     tracer.finish(attempt_span)
                 tracer.record_echo_raw(self._last_span_echo)
             try:
-                result = self._interpret(method, path, status, data)
+                result = self._interpret(method, path, status, data, decode)
             except _TransientResponse as error:
                 failure = str(error)
                 if span is not None:
@@ -636,8 +702,23 @@ class HTTPGraphBackend(GraphBackend):
     # GraphBackend interface
     # ------------------------------------------------------------------
     def fetch(self, node: NodeId) -> RawRecord:
-        payload = self._request("GET", f"{self._prefix}/node/{encode_node_id(node)}")
-        return record_from_wire(payload)
+        return self._request(
+            "GET", f"{self._prefix}/node/{encode_node_id(node)}", decode=self._decode_record
+        )
+
+    def _decode_record(self, data: bytes) -> RawRecord:
+        """Decode a ``GET /node`` body, once per distinct body.
+
+        The memo keeps its own attributes dict and hands every caller a
+        fresh copy, like the local backends do.
+        """
+        entry = self._records.get(data)
+        if entry is not None:
+            node, neighbors, attributes = entry
+            return RawRecord(node, neighbors, dict(attributes))
+        record = record_from_wire(_decode_json(data))
+        self._records.put(data, (record.node, record.neighbors, dict(record.attributes)))
+        return record
 
     def _encode_batch(self, nodes: Sequence[NodeId]) -> Tuple[List[NodeId], bytes]:
         order = list(nodes)

@@ -32,6 +32,19 @@ Every change to tenant state and to the request counts happens under the
 router's one lock, so the figures stay exact under the threaded frontend's
 handler threads and while a tenant's ``/walk`` (run off the event loop by the
 asyncio frontend) overlaps its other requests.
+
+When the backend declares
+:attr:`~repro.api.backend.GraphBackend.immutable_records`, ``GET /node`` and
+``POST /nodes`` bodies are built from per-record encoded bytes, memoised by
+node id — exact ``int`` and ``str`` ids only, so ``/node/true`` never
+answers from node ``1``'s entry — in a memo bounded by
+:data:`RECORD_MEMO_BYTES` (oldest out first).  ``/nodes`` joins the records
+as ``{"records": [`` + ``", "``-joined records + ``]}``, byte-identical to
+``json.dumps`` of the whole payload, which is how other backends' bodies are
+still encoded.  The memo belongs to the backend being served and is
+replaced when ``backend`` is reassigned.  The backend's ``fetch`` /
+``fetch_many`` still runs on every request, so billing, ``nodes_served``,
+misses and injected faults stay exact; the memo only skips the JSON encoding.
 """
 
 from __future__ import annotations
@@ -50,6 +63,7 @@ from ..api.builder import build_api
 from ..api.remote import (
     WIRE_FORMAT,
     WIRE_VERSION,
+    BoundedMemo,
     decode_node_id,
     record_to_wire,
     walk_fingerprint,
@@ -97,6 +111,12 @@ _ORIGIN_FORM = re.compile(r"/(?!/)[^?#\t\r\n]*")
 #: Cap on a server-side walk when the request names neither steps nor budget
 #: and the tenant is unlimited; without it one request could walk forever.
 _MAX_FREE_WALK_STEPS = 100_000
+
+#: Ceiling of one served backend's record-body memo, in bytes.  Each entry
+#: is charged its body plus 150 bytes for the key, the bytes header and the
+#: ordered-dict slot (measured 108-136), so the memo never holds more than
+#: 16 MiB.
+RECORD_MEMO_BYTES = 16 << 20
 
 
 class _BadRequest(Exception):
@@ -186,6 +206,26 @@ def _decode_node(segment: str):
         ) from None
 
 
+def _encode_record(record) -> bytes:
+    return json.dumps(record_to_wire(record)).encode("utf-8")
+
+
+def _entry_weight(node, body: bytes) -> int:
+    return len(body) + 150
+
+
+def _record_body(bodies: BoundedMemo, node, record) -> bytes:
+    """The encoded body of ``record`` (fetched for ``node``), via ``bodies``."""
+    kind = type(node)
+    if kind is not int and kind is not str:
+        return _encode_record(record)
+    body = bodies.get(node)
+    if body is None:
+        body = _encode_record(record)
+        bodies.put(node, body)
+    return body
+
+
 def _json_body(exchange: Exchange) -> Any:
     try:
         return json.loads(exchange.body.decode("utf-8"))
@@ -219,6 +259,20 @@ class GraphRouter:
         #: Open text file receiving one JSON line per request, or ``None``.
         self.access_log = None
         self._lock = threading.Lock()
+
+    @property
+    def backend(self):
+        """The backend every endpoint reads."""
+        return self._serving[0]
+
+    @backend.setter
+    def backend(self, backend) -> None:
+        # One attribute holds the backend and its memo, so a request that
+        # reads it once never pairs one backend with another's bodies.
+        bodies = None
+        if getattr(backend, "immutable_records", False):
+            bodies = BoundedMemo(RECORD_MEMO_BYTES, _entry_weight)
+        self._serving = (backend, bodies)
 
     # ------------------------------------------------------------------
     # The exchange
@@ -283,7 +337,10 @@ class GraphRouter:
         The server timer runs from :meth:`begin` to here, so it covers
         routing and body encoding but not the transport's socket write.
         """
-        if isinstance(payload, str):
+        if type(payload) is bytes:
+            # An already-encoded JSON body (the record endpoints).
+            body, content_type = payload, _JSON
+        elif isinstance(payload, str):
             body, content_type = payload.encode("utf-8"), _PROMETHEUS
         else:
             body, content_type = json.dumps(payload).encode("utf-8"), _JSON
@@ -321,8 +378,11 @@ class GraphRouter:
                 return 200, self.metrics.render_prometheus()
             if path.startswith("/node/"):
                 node = _decode_node(path[len("/node/"):])
-                record = self._fetch(exchange, [node], lambda: [self.backend.fetch(node)])[0]
-                return 200, record_to_wire(record)
+                backend, bodies = self._serving
+                record = self._fetch(exchange, [node], lambda: [backend.fetch(node)])[0]
+                if bodies is None:
+                    return 200, record_to_wire(record)
+                return 200, _record_body(bodies, node, record)
             if path.startswith("/meta/"):
                 return 200, self._meta(_decode_node(path[len("/meta/"):]))
         elif method == "POST":
@@ -331,8 +391,13 @@ class GraphRouter:
                 nodes = payload.get("nodes") if isinstance(payload, dict) else None
                 if not isinstance(nodes, list):
                     raise _BadRequest('request body must be {"nodes": [...]}')
-                records = self._fetch(exchange, nodes, lambda: self.backend.fetch_many(nodes))
-                return 200, {"records": [record_to_wire(record) for record in records]}
+                backend, bodies = self._serving
+                records = self._fetch(exchange, nodes, lambda: backend.fetch_many(nodes))
+                if bodies is None:
+                    return 200, {"records": [record_to_wire(record) for record in records]}
+                parts = [_record_body(bodies, node, record)
+                         for node, record in zip(nodes, records)]
+                return 200, b'{"records": [' + b", ".join(parts) + b"]}"
             if path == "/walk":
                 return 200, self._walk(exchange)
         else:
@@ -395,12 +460,15 @@ class GraphRouter:
         if "start" not in payload:
             raise _BadRequest('walk request needs a "start" node id')
         start = payload["start"]
+        if isinstance(start, (list, dict)):
+            raise _BadRequest('walk "start" must be a scalar JSON node id')
         seed = payload.get("seed", 0)
         steps = payload.get("steps")
         budget = payload.get("budget")
         burn_in = payload.get("burn_in", 0)
         thinning = payload.get("thinning", 1)
         for name, value, optional in (
+            ("seed", seed, False),
             ("steps", steps, True),
             ("budget", budget, True),
             ("burn_in", burn_in, False),

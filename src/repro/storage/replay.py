@@ -60,6 +60,9 @@ class ReplayBackend(GraphBackend):
     a replay cannot invent data the crawl never saw.
     """
 
+    #: The recorded crawl is fixed at construction.
+    immutable_records = True
+
     def __init__(
         self,
         records: Iterable[RawRecord],

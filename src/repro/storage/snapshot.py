@@ -55,6 +55,10 @@ class MmapCSRBackend(CSRBackend):
     one with :func:`load_snapshot` or :meth:`open`.
     """
 
+    #: The mapped files are only ever replaced (a new inode), never rewritten
+    #: in place, so a snapshot's records never change while it is open.
+    immutable_records = True
+
     def __init__(self, *args, directory: Optional[Path] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.directory = Path(directory) if directory is not None else None

@@ -21,7 +21,19 @@ import pytest
 
 from repro.api import HTTPGraphBackend, InMemoryBackend
 from repro.api.remote import encode_node_id
+from repro.exceptions import RemoteBackendError
 from repro.graphs import load_dataset
+
+#: Walk requests the router must refuse as typed 400s before walking.
+BAD_WALKS = [
+    {"kernel": "srw", "start": 0, "seed": "abc", "budget": 5},
+    {"kernel": "srw", "start": 0, "seed": 1.5, "budget": 5},
+    {"kernel": "srw", "start": 0, "seed": True, "budget": 5},
+    {"kernel": "srw", "start": 0, "seed": None, "budget": 5},
+    {"kernel": "srw", "start": 0, "seed": -1, "budget": 5},
+    {"kernel": "srw", "start": [1], "budget": 5},
+    {"kernel": "srw", "start": {"id": 1}, "budget": 5},
+]
 
 #: (method, target, body) — replayed in this order against both frontends.
 TABLE = [
@@ -48,6 +60,7 @@ TABLE = [
     ("POST", "/walk", {"kernel": "no-such-kernel", "start": 0, "budget": 5}),
     ("POST", "/walk", {"kernel": "srw", "start": "missing", "budget": 5}),
     ("POST", "/walk", b"[1, 2"),
+    *[("POST", "/walk", walk) for walk in BAD_WALKS],
     ("GET", "/stats", None),
 ]
 
@@ -161,3 +174,19 @@ def test_threaded_stats_stay_exact_under_concurrent_clients(
     assert public["endpoints"] == {"/node": requests, "/nodes": requests, "/stats": 1}
     assert public["nodes_served"] == served
     assert stats["latency"]["tenants"]["public"]["count"] == 2 * requests
+
+
+@pytest.mark.parametrize("frontend", ["graph_server", "async_graph_server"])
+@pytest.mark.parametrize("walk", BAD_WALKS, ids=repr)
+def test_bad_walk_is_one_typed_400_without_retries(
+    parity_backend, frontend, walk, request
+):
+    server = request.getfixturevalue(frontend)(parity_backend)
+    server.reset_stats()
+    with HTTPGraphBackend(server.url, timeout=10.0) as client:
+        with pytest.raises(RemoteBackendError) as excinfo:
+            client._request("POST", "/walk", json.dumps(walk).encode("utf-8"))
+    assert excinfo.value.status == 400
+    assert "walk" in str(excinfo.value)
+    # A 500 would be retried three times; a 400 crosses the wire once.
+    assert server.endpoint_counts["/walk"] == 1

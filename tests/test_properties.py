@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -12,10 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import GraphAPI, InMemoryBackend, LRUCache, QueryBudget, QueryCache
+from repro.api.backend import RawRecord
+from repro.api.remote import encode_node_id, record_to_wire
 from repro.estimation import AggregateQuery, reweighted_mean
 from repro.graphs import Graph, undirected_from_edges
 from repro.graphs.loaders import load_edge_list, save_edge_list
-from repro.storage import dump_crawl, load_crawl, load_snapshot, save_snapshot
+from repro.server import router as router_module
+from repro.server.router import GraphRouter
+from repro.storage import ReplayBackend, dump_crawl, load_crawl, load_snapshot, save_snapshot
 from repro.metrics import (
     Distribution,
     empirical_distribution,
@@ -488,6 +493,139 @@ class TestRemoteWireProperties:
                 assert client.fetch_many(backend.node_ids()) == backend.fetch_many(
                     backend.node_ids()
                 )
+
+
+#: Record ids the server memo must keep apart: wide ints (past 64 bits) and
+#: unicode strings, including ``"1"`` beside ``1``.
+body_ids = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.text(max_size=6),
+    st.sampled_from([0, 1, "1", "α"]),
+)
+
+#: Attribute values JSON encodes with care: ``None``, NaN and the infinities.
+body_values = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+
+
+def _route(router, method, target, payload=None):
+    """One request through a router (no transport): ``(status, body)``."""
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    response = router.dispatch(router.begin(method, target, {}, body))
+    return response.status, response.body
+
+
+def _wire(backend, node) -> bytes:
+    return json.dumps(record_to_wire(backend.fetch(node))).encode("utf-8")
+
+
+def _wire_batch(backend, nodes) -> bytes:
+    records = [record_to_wire(backend.fetch(node)) for node in nodes]
+    return json.dumps({"records": records}).encode("utf-8")
+
+
+def _small_snapshot(directory, nodes=12):
+    graph = Graph(name="bodies")
+    graph.add_edges((i, (i * 5 + 1) % nodes) for i in range(nodes) if (i * 5 + 1) % nodes != i)
+    graph.add_edges((i, i + 1) for i in range(nodes - 1))
+    for node in range(0, nodes, 3):
+        graph.set_attributes(node, score=node / 7, label=f"n{node}")
+    return load_snapshot(save_snapshot(graph, Path(directory) / "snap"))
+
+
+class TestServedBodyProperties:
+    """Memoised ``/node`` and ``/nodes`` bodies equal plain ``json.dumps``."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_memoised_bodies_match_json_dumps_cold_and_warm(self, data):
+        ids = data.draw(st.lists(body_ids, min_size=1, max_size=8, unique=True), label="ids")
+        records = [
+            RawRecord(
+                node,
+                tuple(data.draw(st.lists(st.sampled_from(ids), max_size=6), label="nbrs")),
+                data.draw(
+                    st.dictionaries(st.text(min_size=1, max_size=4), body_values, max_size=3),
+                    label="attributes",
+                ),
+            )
+            for node in ids
+        ]
+        backend = ReplayBackend(records)
+        batch = data.draw(st.lists(st.sampled_from(ids), max_size=10), label="batch")
+        router = GraphRouter(backend, "test")
+        assert router._serving[1] is not None
+        # Cold: the batch fills the memo (a repeated id hits within it).
+        assert _route(router, "POST", "/nodes", {"nodes": batch}) == (
+            200, _wire_batch(backend, batch)
+        )
+        for _ in range(2):
+            for node in ids:
+                target = "/node/" + encode_node_id(node)
+                assert _route(router, "GET", target) == (200, _wire(backend, node))
+            assert _route(router, "POST", "/nodes", {"nodes": batch}) == (
+                200, _wire_batch(backend, batch)
+            )
+
+    def test_true_and_one_never_alias(self, tmp_path):
+        backend = _small_snapshot(tmp_path)
+        router = GraphRouter(backend, "test")
+        for order in (["1", "true"], ["true", "1"], ["1", "true"]):
+            for segment in order:
+                node = json.loads(segment)
+                status, body = _route(router, "GET", "/node/" + segment)
+                assert (status, body) == (200, _wire(backend, node))
+                assert json.loads(body)["node"] is node
+            status, body = _route(router, "POST", "/nodes", {"nodes": [True, 1, True]})
+            assert body == _wire_batch(backend, [True, 1, True])
+        # The string "1" is a different id: absent from an identity table.
+        assert _route(router, "GET", "/node/" + encode_node_id("1"))[0] == 404
+
+    def test_memo_stays_within_its_bound(self, tmp_path, monkeypatch):
+        backend = _small_snapshot(tmp_path, nodes=40)
+        limit = 3 * (len(_wire(backend, 0)) + 150)
+        monkeypatch.setattr(router_module, "RECORD_MEMO_BYTES", limit)
+        router = GraphRouter(backend, "test")
+        bodies = router._serving[1]
+        for node in range(40):
+            assert _route(router, "GET", f"/node/{node}") == (200, _wire(backend, node))
+            assert bodies.size <= limit
+        assert 0 < len(bodies) < 40
+        # Node 0 was evicted long ago and is still served exactly.
+        assert bodies.get(0) is None
+        assert _route(router, "GET", "/node/0") == (200, _wire(backend, 0))
+        assert _route(router, "POST", "/nodes", {"nodes": list(range(40))}) == (
+            200, _wire_batch(backend, range(40))
+        )
+        assert bodies.size <= limit
+        # A body heavier than the whole memo is served but never stored.
+        monkeypatch.setattr(router_module, "RECORD_MEMO_BYTES", 10)
+        router = GraphRouter(backend, "test")
+        assert _route(router, "GET", "/node/5") == (200, _wire(backend, 5))
+        assert len(router._serving[1]) == 0
+
+    def test_reassigned_backend_serves_its_own_records_and_faults(self, tmp_path):
+        from fakes import FlakyBackend
+
+        first = _small_snapshot(tmp_path / "a", nodes=12)
+        second = _small_snapshot(tmp_path / "b", nodes=9)
+        router = GraphRouter(first, "test")
+        assert _route(router, "GET", "/node/2") == (200, _wire(first, 2))
+        router.backend = second
+        assert router.backend is second
+        assert _wire(first, 2) != _wire(second, 2)
+        assert _route(router, "GET", "/node/2") == (200, _wire(second, 2))
+        router.backend = FlakyBackend(first, plan=[RuntimeError("disk on fire"), None])
+        status, body = _route(router, "GET", "/node/2")
+        assert status == 500 and b"disk on fire" in body
+        assert _route(router, "GET", "/node/2") == (200, _wire(first, 2))
+        # A mutable backend gets no memo at all.
+        router.backend = InMemoryBackend(Graph())
+        assert router._serving[1] is None
 
 
 class TestRequestTrimProperties:

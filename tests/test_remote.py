@@ -15,6 +15,9 @@ parts conformance cannot see:
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
 from collections import deque
 
 import pytest
@@ -26,11 +29,13 @@ from repro.api import (
     build_api,
 )
 from repro.api.remote import (
+    BoundedMemo,
     decode_node_id,
     encode_node_id,
     record_from_wire,
     record_to_wire,
 )
+from repro.api import remote as remote_module
 from repro.api.backend import RawRecord
 from repro.engine import WalkScheduler
 from repro.exceptions import (
@@ -333,6 +338,96 @@ class TestFaultInjection:
         with client:
             assert client.fetch_many(nodes) == local_backend.fetch_many(nodes)
         assert server.endpoint_counts["/nodes"] == 3
+
+
+# ----------------------------------------------------------------------
+# The client's GET /node decode memo
+# ----------------------------------------------------------------------
+class TestRecordMemo:
+    def test_repeated_fetches_are_equal_with_fresh_attributes(
+        self, graph_server, local_backend
+    ):
+        server = graph_server(local_backend)
+        node = next(n for n in local_backend.node_ids() if local_backend.fetch(n).attributes)
+        with HTTPGraphBackend(server.url) as client:
+            first = client.fetch(node)
+            first.attributes.clear()
+            first.attributes["leaked"] = True
+            second, third = client.fetch(node), client.fetch(node)
+            assert second == third == local_backend.fetch(node)
+            assert second.attributes is not third.attributes
+            assert second.neighbors is third.neighbors
+            assert len(client._records) == 1
+        assert server.endpoint_counts["/node"] == 3
+
+    def test_every_fetch_crosses_the_wire(self, graph_server, local_backend):
+        server = graph_server(local_backend)
+        nodes = local_backend.node_ids()[:10]
+        with HTTPGraphBackend(server.url) as client:
+            for _ in range(3):
+                assert [client.fetch(node) for node in nodes] == local_backend.fetch_many(nodes)
+        assert server.endpoint_counts["/node"] == 30
+        assert server.nodes_served == 30
+
+    def test_failed_responses_are_never_memoised(self, graph_server, local_backend):
+        server = graph_server(local_backend, handler_class=FlakyHTTPHandler)
+        server.fault_plan = deque(["500", "garbage", None])
+        node = local_backend.node_ids()[0]
+        with HTTPGraphBackend(server.url, retries=3, sleep=RecordingSleep()) as client:
+            assert client.fetch(node) == local_backend.fetch(node)
+            good = json.dumps(record_to_wire(local_backend.fetch(node))).encode("utf-8")
+            assert len(client._records) == 1 and client._records.get(good) is not None
+            # A 200 body that is JSON but not a record is a typed error,
+            # and stays out of the memo too.
+            for body in (b"[1, 2]", b'{"node": 1}'):
+                with pytest.raises(RemoteBackendError):
+                    client._decode_record(body)
+                assert client._records.get(body) is None
+        assert server.endpoint_counts["/node"] == 3
+
+    def test_concurrent_inserts_keep_the_books_exact(self):
+        """Eight threads inserting and evicting at once: the recorded size
+        must equal the weight of what is stored, and stay under the limit."""
+        memo = BoundedMemo(500, lambda key, value: len(value))
+        errors = []
+
+        def insert(worker):
+            try:
+                for i in range(2000):
+                    memo.put((worker, i % 97), b"x" * (1 + (worker * 7 + i) % 40))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=insert, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        stored = sum(len(memo.get(key)) for key in list(memo._entries))
+        assert memo.size == stored <= memo.limit
+
+    def test_memo_stays_within_its_bound(self, graph_server, local_backend, monkeypatch):
+        nodes = local_backend.node_ids()[:30]
+        sizes = [len(json.dumps(record_to_wire(local_backend.fetch(n)))) for n in nodes]
+        limit = 3 * 8 * max(sizes)
+        monkeypatch.setattr(remote_module, "RECORD_MEMO_BYTES", limit)
+        server = graph_server(local_backend)
+        with HTTPGraphBackend(server.url) as client:
+            for node in nodes:
+                assert client.fetch(node) == local_backend.fetch(node)
+                assert client._records.size <= limit
+            assert 0 < len(client._records) < len(nodes)
+            # The first node was evicted and is still decoded exactly.
+            assert client.fetch(nodes[0]) == local_backend.fetch(nodes[0])
+            assert client._records.size <= limit
+        assert server.endpoint_counts["/node"] == len(nodes) + 1
 
 
 # ----------------------------------------------------------------------
