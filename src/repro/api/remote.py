@@ -58,11 +58,10 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
+import sys
 import time
 import urllib.parse
 import zlib
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,6 +74,7 @@ from ..exceptions import (
     ReplayMissError,
 )
 from .. import obs
+from ..memo import ENTRY_BYTES, BoundedMemo
 from ..obs import TRACE_HEADER, format_trace_header
 from ..types import NodeId
 from .backend import GraphBackend, RawRecord
@@ -84,9 +84,8 @@ WIRE_FORMAT = "repro-graph-http"
 #: Current wire-protocol version; bump on any incompatible change.
 WIRE_VERSION = 1
 
-#: Ceiling of one client's ``GET /node`` decode memo, in resident bytes.  An
-#: entry (the body as key, the decoded record as value) measured 6-8x its
-#: body's length with integer ids, so each is charged 8x its body.
+#: Ceiling of one client's ``GET /node`` decode memo, in resident bytes:
+#: each entry is charged an upper bound on its footprint (``_entry_weight``).
 RECORD_MEMO_BYTES = 16 << 20
 
 
@@ -113,43 +112,6 @@ def record_from_wire(payload: Any) -> RawRecord:
         raise RemoteBackendError(
             f"malformed node record on the wire ({exc}): {payload!r}"
         ) from exc
-
-
-class BoundedMemo:
-    """A dict capped at ``limit`` weighed bytes; the oldest entry goes first.
-
-    ``weigh(key, value)`` is an entry's charge against the limit, and an
-    entry heavier than the whole limit is not stored.  Reads are lock-free
-    dict lookups; :meth:`put` takes the lock, so an insert never races
-    another insert's eviction.
-    """
-
-    def __init__(self, limit: int, weigh: Callable[[Any, Any], int]) -> None:
-        self.limit = limit
-        #: Total weight of the stored entries (never above ``limit``).
-        self.size = 0
-        self._weigh = weigh
-        # An OrderedDict evicts its oldest entry in O(1); a plain dict's
-        # next(iter(...)) scans every slot deleted since its last resize.
-        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.get = self._entries.get
-
-    def put(self, key, value) -> None:
-        weight = self._weigh(key, value)
-        if weight > self.limit:
-            return
-        with self._lock:
-            entries = self._entries
-            if key in entries:
-                return
-            while self.size + weight > self.limit:
-                self.size -= self._weigh(*entries.popitem(last=False))
-            entries[key] = value
-            self.size += weight
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def _coerce_id(value):
@@ -239,8 +201,36 @@ def _decode_json(data: bytes) -> Any:
         raise _TransientResponse(f"malformed JSON response body ({error})") from None
 
 
-def _body_weight(data: bytes, entry) -> int:
-    return 8 * len(data)
+_EMPTY_DICT_BYTES = sys.getsizeof({})
+
+
+def _entry_weight(data: bytes, entry) -> int:
+    """An upper bound on the resident bytes of one decode-memo entry.
+
+    The key is the body itself: ``len(data)`` plus its 33-byte header.  The
+    value is a 3-tuple (64 bytes) of the node, the neighbor tuple (40 bytes
+    plus an 8-byte slot per id) and the attributes copy, which is measured.
+    A decoded id costs at most 28 bytes plus one per character of its JSON
+    text (up to 4 per character once the body holds a ``\\u`` escape), and
+    a string up to 48 bytes more for its header: charged as 24 per quote in
+    the body, which overcounts and so keeps the bound an upper one.
+    """
+    _, neighbors, attributes = entry
+    chars = len(data) if data.find(b"\\u") < 0 else 4 * len(data)
+    weight = ENTRY_BYTES + 137 + len(data) + chars + 36 * (len(neighbors) + 1)
+    weight += 24 * data.count(b'"')
+    return weight + (_footprint(attributes) if attributes else _EMPTY_DICT_BYTES)
+
+
+def _footprint(value) -> int:
+    """Resident bytes of a decoded JSON value, its members included."""
+    size = sys.getsizeof(value)
+    if type(value) is dict:
+        for key, member in value.items():
+            size += sys.getsizeof(key) + _footprint(member)
+    elif type(value) is list:
+        size += sum(map(_footprint, value))
+    return size
 
 
 class _LeanHTTPConnection:
@@ -481,7 +471,7 @@ class HTTPGraphBackend(GraphBackend):
         self._node_ids: Optional[List[NodeId]] = None
         self._meta_cache: Dict[NodeId, Dict[str, Any]] = {}
         #: ``GET /node`` body bytes -> (node, neighbors, attributes) decoded.
-        self._records = BoundedMemo(RECORD_MEMO_BYTES, _body_weight)
+        self._records = BoundedMemo(RECORD_MEMO_BYTES, _entry_weight)
         self.name = name if name is not None else f"http:{parsed.netloc}"
 
     # ------------------------------------------------------------------

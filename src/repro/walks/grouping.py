@@ -44,13 +44,13 @@ bill a query with ``prefetch``, and a memo would skip that billing.
 from __future__ import annotations
 
 import hashlib
-import threading
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.interface import SocialNetworkAPI
 from ..exceptions import InvalidConfigurationError
+from ..memo import BoundedMemo
 from ..types import NodeId
 
 GroupKey = Hashable
@@ -101,7 +101,7 @@ class GroupingStrategy:
                 if entry is None:
                     # Pure strategies never touch the API, so none is passed.
                     entry = [key, MappingProxyType(_partition_loop(self, key, None))]
-                    _store(memo_id, entry)
+                    _PARTITIONS.put(memo_id, entry)
                 else:
                     entry[0] = key
                 return entry[1]
@@ -135,18 +135,8 @@ def _partition_loop(
 #: -> [tuple, read-only partition].  The first slot is the last tuple object
 #: that passed the exact-id scan (an equal tuple, so the partition holds for
 #: it), so ``partition`` skips the scan whenever it is handed that same
-#: object again.  Reads are lock-free; inserts take the lock so eviction
-#: never races another insert.
-_PARTITIONS: Dict[Tuple[Any, ...], List[Any]] = {}
-_PARTITIONS_LOCK = threading.Lock()
-
-
-def _store(memo_id: Tuple[Any, ...], entry: List[Any]) -> None:
-    """Insert a memo entry, evicting the oldest one once the memo is full."""
-    with _PARTITIONS_LOCK:
-        if len(_PARTITIONS) >= PARTITION_MEMO_SIZE:
-            del _PARTITIONS[next(iter(_PARTITIONS))]
-        _PARTITIONS[memo_id] = entry
+#: object again.  Bounded by entry count, oldest out first.
+_PARTITIONS = BoundedMemo(PARTITION_MEMO_SIZE, lambda memo_id, entry: 1)
 
 
 def _md5_group(node: NodeId, num_groups: int) -> int:

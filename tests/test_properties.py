@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.api.remote import encode_node_id, record_to_wire
 from repro.estimation import AggregateQuery, reweighted_mean
 from repro.graphs import Graph, undirected_from_edges
 from repro.graphs.loaders import load_edge_list, save_edge_list
+from repro.memo import BoundedMemo
 from repro.server import router as router_module
 from repro.server.router import GraphRouter
 from repro.storage import ReplayBackend, dump_crawl, load_crawl, load_snapshot, save_snapshot
@@ -31,6 +34,8 @@ from repro.metrics import (
 from repro.types import Sample
 from repro.walks import CirculatedNeighborsRandomWalk, EdgeHistory, SimpleRandomWalk
 from repro.walks.grouping import HashGrouping
+
+from fakes import FlakyBackend
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -557,19 +562,23 @@ class TestServedBodyProperties:
         ]
         backend = ReplayBackend(records)
         batch = data.draw(st.lists(st.sampled_from(ids), max_size=10), label="batch")
-        router = GraphRouter(backend, "test")
-        assert router._serving[1] is not None
-        # Cold: the batch fills the memo (a repeated id hits within it).
-        assert _route(router, "POST", "/nodes", {"nodes": batch}) == (
-            200, _wire_batch(backend, batch)
-        )
-        for _ in range(2):
-            for node in ids:
-                target = "/node/" + encode_node_id(node)
-                assert _route(router, "GET", target) == (200, _wire(backend, node))
+        memoised = GraphRouter(backend, "test")
+        assert memoised._serving[1] is not None
+        # A backend without the immutable flag: the same records, no memo.
+        plain = GraphRouter(FlakyBackend(backend), "test")
+        assert plain._serving[1] is None
+        for router in (memoised, plain):
+            # Cold: the batch fills the memo (a repeated id hits within it).
             assert _route(router, "POST", "/nodes", {"nodes": batch}) == (
                 200, _wire_batch(backend, batch)
             )
+            for _ in range(2):
+                for node in ids:
+                    target = "/node/" + encode_node_id(node)
+                    assert _route(router, "GET", target) == (200, _wire(backend, node))
+                assert _route(router, "POST", "/nodes", {"nodes": batch}) == (
+                    200, _wire_batch(backend, batch)
+                )
 
     def test_true_and_one_never_alias(self, tmp_path):
         backend = _small_snapshot(tmp_path)
@@ -587,7 +596,7 @@ class TestServedBodyProperties:
 
     def test_memo_stays_within_its_bound(self, tmp_path, monkeypatch):
         backend = _small_snapshot(tmp_path, nodes=40)
-        limit = 3 * (len(_wire(backend, 0)) + 150)
+        limit = 3 * max(router_module._entry_weight(n, _wire(backend, n)) for n in range(40))
         monkeypatch.setattr(router_module, "RECORD_MEMO_BYTES", limit)
         router = GraphRouter(backend, "test")
         bodies = router._serving[1]
@@ -608,9 +617,32 @@ class TestServedBodyProperties:
         assert _route(router, "GET", "/node/5") == (200, _wire(backend, 5))
         assert len(router._serving[1]) == 0
 
-    def test_reassigned_backend_serves_its_own_records_and_faults(self, tmp_path):
-        from fakes import FlakyBackend
+    @pytest.mark.parametrize("make_id", [
+        lambda i: f"u{i}",
+        lambda i: f"\u00e9{i}",
+        lambda i: f"\U0001f600{i}",
+        lambda i: 257 + i,
+        lambda i: 10**20 + i,
+    ], ids=["ascii", "latin1", "astral", "int", "bigint"])
+    def test_charge_covers_the_real_footprint(self, make_id):
+        records = [RawRecord(make_id(i), (make_id(i + 1),), {"x": i / 7}) for i in range(400)]
+        bodies = BoundedMemo(router_module.RECORD_MEMO_BYTES, router_module._entry_weight)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for record in records:
+                # A fresh key object, as a request decodes it from the path.
+                node = json.loads(json.dumps(record.node))
+                router_module._record_body(bodies, node, record)
+            del node
+            resident = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(bodies) == 400
+        assert 0 < resident <= bodies.size
 
+    def test_reassigned_backend_serves_its_own_records_and_faults(self, tmp_path):
         first = _small_snapshot(tmp_path / "a", nodes=12)
         second = _small_snapshot(tmp_path / "b", nodes=9)
         router = GraphRouter(first, "test")

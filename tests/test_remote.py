@@ -15,9 +15,11 @@ parts conformance cannot see:
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import threading
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -29,7 +31,6 @@ from repro.api import (
     build_api,
 )
 from repro.api.remote import (
-    BoundedMemo,
     decode_node_id,
     encode_node_id,
     record_from_wire,
@@ -44,6 +45,7 @@ from repro.exceptions import (
     RemoteBackendError,
 )
 from repro.graphs import load_dataset
+from repro.memo import BoundedMemo
 from repro.walks import make_walker
 
 from fakes import FlakyBackend, FlakyHTTPHandler
@@ -415,8 +417,13 @@ class TestRecordMemo:
 
     def test_memo_stays_within_its_bound(self, graph_server, local_backend, monkeypatch):
         nodes = local_backend.node_ids()[:30]
-        sizes = [len(json.dumps(record_to_wire(local_backend.fetch(n)))) for n in nodes]
-        limit = 3 * 8 * max(sizes)
+        limit = 3 * max(
+            remote_module._entry_weight(
+                json.dumps(record_to_wire(record)).encode("utf-8"),
+                (record.node, record.neighbors, record.attributes),
+            )
+            for record in local_backend.fetch_many(nodes)
+        )
         monkeypatch.setattr(remote_module, "RECORD_MEMO_BYTES", limit)
         server = graph_server(local_backend)
         with HTTPGraphBackend(server.url) as client:
@@ -428,6 +435,37 @@ class TestRecordMemo:
             assert client.fetch(nodes[0]) == local_backend.fetch(nodes[0])
             assert client._records.size <= limit
         assert server.endpoint_counts["/node"] == len(nodes) + 1
+
+    @pytest.mark.parametrize("make_id", [
+        lambda i: f"u{i}",
+        lambda i: f"\u00e9{i}",
+        lambda i: f"\U0001f600{i}",
+        lambda i: 257 + i,
+        lambda i: 10**20 + i,
+    ], ids=["ascii", "latin1", "astral", "int", "bigint"])
+    def test_charge_covers_the_real_footprint(self, make_id):
+        """Short string ids cost more per body byte than ints; the charge
+        must cover what the memo really keeps alive either way."""
+        records = [
+            RawRecord(
+                make_id(i),
+                tuple(make_id(i + k) for k in range(1, 40)),
+                {"score": i / 7, "label": str(make_id(i)), "tags": [make_id(i), None]},
+            )
+            for i in range(300)
+        ]
+        client = HTTPGraphBackend("http://127.0.0.1:9")  # decodes only; never connects
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for record in records:
+                client._decode_record(json.dumps(record_to_wire(record)).encode("utf-8"))
+            resident = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(client._records) == 300
+        assert 0 < resident <= client._records.size
 
 
 # ----------------------------------------------------------------------
